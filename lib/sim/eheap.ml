@@ -158,6 +158,13 @@ let compact t ~keep =
     sift_down t ~len ~time:t.times.(i) ~seq:t.seqs.(i) t.vals.(i) i
   done
 
+let clear t =
+  for i = 0 to t.len - 1 do
+    t.times.(i) <- nan;
+    t.vals.(i) <- t.dummy
+  done;
+  t.len <- 0
+
 let size t = t.len
 let is_empty t = t.len = 0
 let capacity t = Array.length t.times

@@ -44,6 +44,10 @@ val peek_time : 'a t -> float option
     the live size, releasing the high-water-mark footprint. *)
 val compact : 'a t -> keep:(seq:int -> 'a -> bool) -> unit
 
+(** [clear t] drops every element, keeping the backing arrays' capacity:
+    a heap refilled from scratch each round reuses its slots. *)
+val clear : 'a t -> unit
+
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 

@@ -1,29 +1,28 @@
 (* Max-min fair fluid tier. See the .mli for the model; here the load-bearing
-   details are determinism (sorted traversal everywhere a float sum or a
-   callback order could leak) and zero allocation churn on the steady path
-   (per-link scratch lives inside the entry records, reused each pass). *)
+   details are determinism and allocation-free passes. Flows live in a map
+   ordered by id and links in an array in creation order, so every float sum
+   and every callback runs in a fixed order without sorting. Per-link
+   water-filling scratch lives in the {!Waterfill} workspace, reused each
+   pass. *)
+
+module Flows = Map.Make (Int)
 
 type entry = {
   key : int * int;  (* directed (from, to) *)
   link : Link.t;
+  idx : int;  (* position in [t.entries] *)
   mutable n_fluid : int;
   mutable n_pkt : int;
-  (* water-filling scratch, valid only during one allocation pass *)
-  mutable rem : float;  (* unallocated fluid capacity, bps *)
-  mutable cnt : int;  (* unfrozen fluid flows crossing *)
-  mutable bott : bool;  (* member of the current bottleneck set *)
-  mutable bott_any : bool;  (* froze some flow this pass: holds a standing queue *)
-  mutable fluid_bps : float;  (* summed allocation, pushed to the link *)
-  mutable stale : bool;  (* had a nonzero push that must be reset *)
+  mutable pushed : bool;  (* the link holds a nonzero fluid push *)
 }
 
 type fflow = {
   id : int;
-  path : entry array;
+  hops : int array;  (* path, as indices into [t.entries] *)
   mutable remaining : float;  (* bytes; [infinity] = long-lived *)
   mutable rate : float;  (* bps, last allocation *)
   mutable last : float;  (* sim time [remaining] was settled at *)
-  mutable frozen : bool;  (* water-filling scratch *)
+  mutable live : bool;  (* still in the tier (false once demoted) *)
   on_demote : remaining_bytes:float -> rate_bps:float -> unit;
 }
 
@@ -50,9 +49,16 @@ type t = {
          control re-converges over RTTs, so an RTT-scale floor trades no
          modelled fidelity and keeps allocation cost independent of the
          churn rate. 0 = recompute at every control event. *)
-  flows : (int, fflow) Hashtbl.t;
-  entries : (int * int, entry) Hashtbl.t;
-  pkt_paths : (int, entry array) Hashtbl.t;
+  mutable flows : fflow Flows.t;
+  by_key : (int * int, entry) Hashtbl.t;  (* lookup only, never traversed *)
+  mutable entries : entry array;
+      (* creation order; an entry's index is its link index in the
+         water-filling kernel. Slots >= [n_entries] are filler. *)
+  mutable n_entries : int;
+  pkt_paths : (int, entry array) Hashtbl.t;  (* lookup only *)
+  ws : Waterfill.t;
+  mutable cap : Float.Array.t;  (* per entry: fluid capacity slice, bps *)
+  mutable paths : int array array;  (* live flows' hops, id order *)
   boundaries : fflow Eheap.t;
       (* per-flow demotion times under the current allocation; rebuilt at
          each water-filling pass (rates change every boundary), drained by
@@ -63,16 +69,12 @@ type t = {
   mutable last_alloc : float;  (* sim time of the last water-filling pass *)
   mutable recompute_tm : Engine.timer option;
   mutable boundary_tm : Engine.timer option;
-  mutable pushed : entry list;  (* entries whose link holds a nonzero push *)
   mutable admitted : int;
   mutable demotions : int;
   mutable fault_demotions : int;
   mutable recomputes : int;
   mutable bytes_advanced : float;
 }
-
-let key_cmp (a1, b1) (a2, b2) =
-  match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
 
 (* Demote when remaining <= boundary + slack: the boundary timer inverts
    remaining = rate * dt / 8, so settling at its firing time can land a few
@@ -89,7 +91,7 @@ let settle_flow t f now =
   end;
   f.last <- now
 
-let settle_all t now = Det_tbl.iter (fun _ f -> settle_flow t f now) t.flows
+let settle_all t now = Flows.iter (fun _ f -> settle_flow t f now) t.flows
 
 let mark_dirty t =
   if not t.dirty then begin
@@ -103,129 +105,88 @@ let mark_dirty t =
   end
 
 let demote t f ~fault =
-  Hashtbl.remove t.flows f.id;
-  Array.iter (fun e -> e.n_fluid <- e.n_fluid - 1) f.path;
+  t.flows <- Flows.remove f.id t.flows;
+  f.live <- false;
+  Array.iter
+    (fun h ->
+      let e = t.entries.(h) in
+      e.n_fluid <- e.n_fluid - 1)
+    f.hops;
   t.demotions <- t.demotions + 1;
   if fault then t.fault_demotions <- t.fault_demotions + 1;
   f.on_demote ~remaining_bytes:f.remaining ~rate_bps:f.rate
 
-let demote_due t =
-  let hit =
-    List.rev
-      (Det_tbl.fold (fun _ f acc -> if due t f then f :: acc else acc) t.flows [])
-  in
-  List.iter (fun f -> demote t f ~fault:false) hit
+(* Demotes, in id order, every flow of the map as it stands at the call
+   that satisfies [pred]. Demotion callbacks may re-enter the tier (the
+   demoted flow registers as a packet flow); the map being persistent, they
+   cannot disturb the traversal. *)
+let demote_where t ~fault pred =
+  Flows.iter (fun _ f -> if pred f then demote t f ~fault) t.flows
 
-(* One water-filling pass over the live flows: repeatedly find the tightest
-   link (smallest equal share among its unfrozen flows), freeze every
-   unfrozen flow crossing a tightest link at that share, subtract, repeat.
-   Bottleneck membership is snapshotted per iteration so the in-place
-   subtraction cannot skew which flows freeze this round. *)
+(* One water-filling pass over the live flows (the kernel is
+   {!Waterfill.solve}): each loaded link offers its fluid/packet slice of
+   capacity, zero while down. The per-link totals (summed in flow-id
+   order) are pushed to the links; links that lost their fluid load are
+   reset. *)
 let allocate t =
-  let fls = List.rev (Det_tbl.fold (fun _ f acc -> f :: acc) t.flows []) in
-  List.iter
-    (fun f ->
-      f.frozen <- false;
-      f.rate <- 0.)
-    fls;
-  let parts =
-    List.rev
-      (Det_tbl.fold ~cmp:key_cmp
-         (fun _ e acc ->
-           if e.n_fluid > 0 then begin
-             let share =
-               float_of_int e.n_fluid /. float_of_int (e.n_fluid + e.n_pkt)
-             in
-             e.rem <-
-               (if Link.is_up e.link then Link.rate_bps e.link *. share else 0.);
-             e.cnt <- e.n_fluid;
-             e.bott <- false;
-             e.bott_any <- false;
-             e.fluid_bps <- 0.;
-             e :: acc
-           end
-           else acc)
-         t.entries [])
-  in
-  let unfrozen = ref (List.length fls) in
-  while !unfrozen > 0 do
-    let s =
-      List.fold_left
-        (fun acc e ->
-          if e.cnt > 0 then Float.min acc (e.rem /. float_of_int e.cnt) else acc)
-        infinity parts
-    in
-    if s = infinity then begin
-      (* No constraining link (unreachable: every flow crosses links that
-         count it). Freeze everything at zero to guarantee termination. *)
-      List.iter (fun f -> f.frozen <- true) fls;
-      unfrozen := 0
-    end
-    else begin
-      let s = Float.max 0. s in
-      List.iter
-        (fun e ->
-          if e.cnt > 0 && e.rem /. float_of_int e.cnt = s then begin
-            e.bott <- true;
-            e.bott_any <- true
-          end)
-        parts;
-      List.iter
-        (fun f ->
-          if (not f.frozen) && Array.exists (fun e -> e.bott) f.path then begin
-            f.frozen <- true;
-            f.rate <- s;
-            decr unfrozen;
-            Array.iter
-              (fun e ->
-                e.rem <- Float.max 0. (e.rem -. s);
-                e.cnt <- e.cnt - 1)
-              f.path
-          end)
-        fls;
-      List.iter (fun e -> e.bott <- false) parts
-    end
+  let n_flows = Flows.cardinal t.flows in
+  if Array.length t.paths < n_flows then
+    t.paths <- Array.make (max 64 (2 * n_flows)) [||];
+  let i = ref 0 in
+  Flows.iter
+    (fun _ f ->
+      t.paths.(!i) <- f.hops;
+      incr i)
+    t.flows;
+  let n_links = t.n_entries in
+  if Float.Array.length t.cap < n_links then
+    t.cap <- Float.Array.make (max 64 (2 * n_links)) 0.;
+  for l = 0 to n_links - 1 do
+    let e = t.entries.(l) in
+    if e.n_fluid > 0 then
+      Float.Array.set t.cap l
+        (if Link.is_up e.link then
+           Link.rate_bps e.link
+           *. (float_of_int e.n_fluid /. float_of_int (e.n_fluid + e.n_pkt))
+         else 0.)
   done;
-  (* Per-link totals, summed in flow-id order (deterministic float sums),
-     pushed to the links; links that lost their fluid load are reset. *)
-  List.iter
-    (fun f -> Array.iter (fun e -> e.fluid_bps <- e.fluid_bps +. f.rate) f.path)
-    fls;
-  let prev = t.pushed in
-  t.pushed <- [];
-  List.iter (fun e -> e.stale <- true) prev;
-  List.iter
-    (fun e ->
-      if e.fluid_bps > 0. then begin
-        Link.set_fluid_bps e.link e.fluid_bps;
-        (* Only links that actually constrained (froze) a flow hold a
-           standing queue; transit links a flow merely crosses stay clean. *)
-        Link.set_standing_s e.link
-          (if e.bott_any then t.standing_of (Link.rate_bps e.link) else 0.);
-        e.stale <- false;
-        t.pushed <- e :: t.pushed
-      end)
-    parts;
-  List.iter
-    (fun e ->
-      if e.stale then begin
-        Link.set_fluid_bps e.link 0.;
-        Link.set_standing_s e.link 0.;
-        e.stale <- false
-      end)
-    prev
+  Waterfill.solve t.ws ~cap:t.cap ~n_links ~paths:t.paths ~n_flows;
+  let rates = Waterfill.rates t.ws in
+  i := 0;
+  Flows.iter
+    (fun _ f ->
+      f.rate <- Float.Array.get rates !i;
+      incr i)
+    t.flows;
+  let loads = Waterfill.loads t.ws in
+  for l = 0 to n_links - 1 do
+    let e = t.entries.(l) in
+    let bps = Float.Array.get loads l in
+    if bps > 0. then begin
+      Link.set_fluid_bps e.link bps;
+      (* Only links that actually constrained (froze) a flow hold a
+         standing queue; transit links a flow merely crosses stay clean. *)
+      Link.set_standing_s e.link
+        (if Waterfill.bottleneck t.ws l then
+           t.standing_of (Link.rate_bps e.link)
+         else 0.);
+      e.pushed <- true
+    end
+    else if e.pushed then begin
+      Link.set_fluid_bps e.link 0.;
+      Link.set_standing_s e.link 0.;
+      e.pushed <- false
+    end
+  done
 
 let boundary_time t f =
   f.last +. ((f.remaining -. t.demote_bytes) *. 8. /. f.rate)
 
-let heap_live t f =
-  match Hashtbl.find_opt t.flows f.id with Some g -> g == f | None -> false
-
 (* Rebuild the boundary schedule from scratch: rates just changed, so every
    previously computed demotion time is void. O(live), once per pass. *)
 let rebuild_boundaries t =
-  Eheap.compact t.boundaries ~keep:(fun ~seq:_ _ -> false);
-  Det_tbl.iter
+  Eheap.clear t.boundaries;
+  Flows.iter
     (fun _ f ->
       if f.rate > 0. && f.remaining < infinity then
         Eheap.add t.boundaries ~time:(boundary_time t f) ~seq:f.id f)
@@ -249,7 +210,7 @@ let do_recompute t =
   t.recomputes <- t.recomputes + 1;
   let now = Engine.now t.engine in
   settle_all t now;
-  demote_due t;
+  demote_where t ~fault:false (due t);
   allocate t;
   t.last_alloc <- now;
   rebuild_boundaries t;
@@ -268,7 +229,7 @@ let on_boundary t =
     match Eheap.peek_time t.boundaries with
     | Some tm when tm <= now ->
         let f = Eheap.pop_min t.boundaries in
-        if heap_live t f then begin
+        if f.live then begin
           settle_flow t f now;
           if due t f then begin
             demote t f ~fault:false;
@@ -295,11 +256,11 @@ let create engine net ~demote_bytes ?(standing_of = fun _ -> 0.)
   let dummy_fflow =
     {
       id = -1;
-      path = [||];
+      hops = [||];
       remaining = 0.;
       rate = 0.;
       last = 0.;
-      frozen = false;
+      live = false;
       on_demote = (fun ~remaining_bytes:_ ~rate_bps:_ -> ());
     }
   in
@@ -310,15 +271,19 @@ let create engine net ~demote_bytes ?(standing_of = fun _ -> 0.)
       demote_bytes;
       standing_of;
       min_interval;
-      flows = Hashtbl.create 512;
-      entries = Hashtbl.create 512;
+      flows = Flows.empty;
+      by_key = Hashtbl.create 512;
+      entries = [||];
+      n_entries = 0;
       pkt_paths = Hashtbl.create 512;
+      ws = Waterfill.create ();
+      cap = Float.Array.create 0;
+      paths = [||];
       boundaries = Eheap.create ~dummy:dummy_fflow ();
       dirty = false;
       last_alloc = neg_infinity;
       recompute_tm = None;
       boundary_tm = None;
-      pushed = [];
       admitted = 0;
       demotions = 0;
       fault_demotions = 0;
@@ -334,7 +299,7 @@ let create engine net ~demote_bytes ?(standing_of = fun _ -> 0.)
 
 let entry_of t a b =
   let key = (a, b) in
-  match Hashtbl.find_opt t.entries key with
+  match Hashtbl.find_opt t.by_key key with
   | Some e -> e
   | None ->
       let link =
@@ -342,21 +307,16 @@ let entry_of t a b =
         | Some l -> l
         | None -> invalid_arg "Fluid: path hop without a link"
       in
-      let e =
-        {
-          key;
-          link;
-          n_fluid = 0;
-          n_pkt = 0;
-          rem = 0.;
-          cnt = 0;
-          bott = false;
-          bott_any = false;
-          fluid_bps = 0.;
-          stale = false;
-        }
-      in
-      Hashtbl.replace t.entries key e;
+      let n = t.n_entries in
+      let e = { key; link; idx = n; n_fluid = 0; n_pkt = 0; pushed = false } in
+      Hashtbl.replace t.by_key key e;
+      if n = Array.length t.entries then begin
+        let grown = Array.make (max 64 (2 * n)) e in
+        Array.blit t.entries 0 grown 0 n;
+        t.entries <- grown
+      end;
+      t.entries.(n) <- e;
+      t.n_entries <- n + 1;
       e
 
 let entries_of_route t ~id ~src ~dst =
@@ -390,15 +350,15 @@ let admit t ~id ~src ~dst ~bytes ~on_demote =
     let f =
       {
         id;
-        path;
+        hops = Array.map (fun e -> e.idx) path;
         remaining = bytes;
         rate = 0.;
         last = Engine.now t.engine;
-        frozen = false;
+        live = true;
         on_demote;
       }
     in
-    Hashtbl.replace t.flows id f;
+    t.flows <- Flows.add id f t.flows;
     mark_dirty t
   end
 
@@ -427,23 +387,13 @@ let unregister_packet t ~id =
       if !shared then mark_dirty t
 
 let on_link_change t a b ~up =
-  if not up then begin
-    let hit =
-      List.rev
-        (Det_tbl.fold
-           (fun _ f acc ->
-             let crosses =
-               Array.exists
-                 (fun e ->
-                   let ea, eb = e.key in
-                   (ea = a && eb = b) || (ea = b && eb = a))
-                 f.path
-             in
-             if crosses then f :: acc else acc)
-           t.flows [])
-    in
-    List.iter (fun f -> demote t f ~fault:true) hit
-  end;
+  if not up then
+    demote_where t ~fault:true (fun f ->
+        Array.exists
+          (fun h ->
+            let ea, eb = t.entries.(h).key in
+            (ea = a && eb = b) || (ea = b && eb = a))
+          f.hops);
   mark_dirty t
 
 let flush t = settle_all t (Engine.now t.engine)
@@ -455,5 +405,5 @@ let stats t =
     fault_demotions = t.fault_demotions;
     recomputes = t.recomputes;
     bytes_advanced = t.bytes_advanced;
-    live = Hashtbl.length t.flows;
+    live = Flows.cardinal t.flows;
   }

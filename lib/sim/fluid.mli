@@ -17,9 +17,14 @@
     packet-level loss/RTO behaviour). Demotion hands the runner the settled
     remaining bytes and last allocated rate.
 
-    Determinism: every traversal is in sorted key order ({!Det_tbl}), so
-    allocations, float-summation order and demotion order are byte-stable
-    across runs and processes. See DESIGN.md §15. *)
+    Rates come from {!Waterfill}, a heap-ordered progressive filling that is
+    O((F·P + L) log L) per pass for F live flows of path length P over L
+    loaded links.
+
+    Determinism: flows are kept in a map ordered by id and links in an
+    array in the order they were first routed over, so allocations,
+    float-summation order and demotion order are byte-stable across runs
+    and processes without sorting. See DESIGN.md §15. *)
 
 type t
 

@@ -142,6 +142,39 @@ let test_compact_releases_values () =
   done;
   Alcotest.(check int) "survivors" 10 (Eheap.size (Sys.opaque_identity h))
 
+let test_clear () =
+  (* [clear] empties the heap, releases its values and keeps its capacity
+     for the refill. *)
+  let n = 100 in
+  let h = Eheap.create ~dummy:Bytes.empty () in
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    let v = Bytes.make 64 'x' in
+    Weak.set w i (Some v);
+    Eheap.add h ~time:(float_of_int (i mod 7)) ~seq:i v
+  done;
+  let cap = Eheap.capacity h in
+  Eheap.clear h;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "cleared value %d collected" i)
+      false (Weak.check w i)
+  done;
+  Alcotest.(check bool) "empty" true (Eheap.is_empty h);
+  Alcotest.(check int) "capacity kept" cap (Eheap.capacity h);
+  List.iter
+    (fun (time, seq) -> Eheap.add h ~time ~seq Bytes.empty)
+    [ (2., 0); (1., 1); (1., 0) ];
+  let rec drain acc =
+    if Eheap.is_empty h then List.rev acc
+    else
+      let seq = Eheap.min_seq h in
+      ignore (Eheap.pop_min h);
+      drain (seq :: acc)
+  in
+  Alcotest.(check (list int)) "refill pops in key order" [ 0; 1; 0 ] (drain [])
+
 let test_compact_shrinks_capacity () =
   (* A long run's high-water mark must not pin RSS: once compaction leaves
      occupancy far below capacity, the SoA backing arrays shrink (to 2x
@@ -289,6 +322,7 @@ let suite =
       test_compact_releases_values;
     Alcotest.test_case "compact shrinks capacity" `Quick
       test_compact_shrinks_capacity;
+    Alcotest.test_case "clear keeps capacity" `Quick test_clear;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_fifo_on_equal_keys;
     QCheck_alcotest.to_alcotest prop_model_interleaved;

@@ -25,4 +25,5 @@ let () =
       ("behaviours", Test_behaviours.suite);
       ("faults", Test_faults.suite);
       ("laws", Test_laws.suite);
+      ("fluid", Test_fluid.suite);
     ]
