@@ -7,8 +7,8 @@
    Moments and extremes come from a Welford accumulator, quantiles from a
    t-digest over per-group CCTs. Like Attrib, the structure is closure-free
    so it survives Marshal across the fork-parallel runner, and [merge] is
-   deterministic in operand order (the runner finalises groups in sorted
-   task-id order, so t-digest insertion order is byte-stable too). *)
+   deterministic in operand order ([finish] folds groups in sorted task-id
+   order, so t-digest insertion order is byte-stable too). *)
 
 type t = {
   cct : Welford.t;  (* over completed (non-censored) groups *)
@@ -87,3 +87,56 @@ let to_json t =
       (json_float (Tdigest.quantile t.digest 0.99))
       t.deadline_met t.deadline_total
       (json_float (deadline_met_frac t))
+
+(* One task group while its member records stream in. *)
+type group = {
+  first_start : float;
+  last_end : float;
+  members : int;
+  any_censored : bool;
+  group_deadline : float option;  (* min over member deadlines *)
+}
+
+type groups = (int, group) Hashtbl.t
+
+let groups () : groups = Hashtbl.create 64
+
+let track (gs : groups) (r : Fct.record) =
+  Option.iter
+    (fun tid ->
+      let finish = r.Fct.start_time +. r.Fct.fct in
+      Hashtbl.replace gs tid
+        (match Hashtbl.find_opt gs tid with
+        | None ->
+            {
+              first_start = r.Fct.start_time;
+              last_end = finish;
+              members = 1;
+              any_censored = r.Fct.censored;
+              group_deadline = r.Fct.deadline;
+            }
+        | Some g ->
+            {
+              first_start = Float.min g.first_start r.Fct.start_time;
+              last_end = Float.max g.last_end finish;
+              members = g.members + 1;
+              any_censored = g.any_censored || r.Fct.censored;
+              group_deadline =
+                (match (g.group_deadline, r.Fct.deadline) with
+                | Some d0, Some d -> Some (Float.min d0 d)
+                | d, None | None, d -> d);
+            }))
+    r.Fct.task
+
+let finish (gs : groups) =
+  if Hashtbl.length gs = 0 then None
+  else begin
+    let agg = create () in
+    Det_tbl.iter
+      (fun _tid g ->
+        observe agg
+          ~cct:(Float.max 0. (g.last_end -. g.first_start))
+          ~width:g.members ~censored:g.any_censored ~deadline:g.group_deadline)
+      gs;
+    Some agg
+  end

@@ -6,21 +6,28 @@
 
     Bounded memory: a Welford accumulator for moments/extremes and a
     t-digest for CCT quantiles. Closure-free (Marshal/fork-safe) like
-    {!Attrib}; [merge] is deterministic in operand order. The runner
-    finalises groups in sorted task-id order, so t-digest insertion order —
-    and therefore every quantile — is byte-stable across runs and
-    processes. *)
+    {!Attrib}; [merge] is deterministic in operand order. {!finish}
+    folds groups in sorted task-id order, so t-digest insertion order — and
+    therefore every quantile — is byte-stable across runs and processes. *)
 
 type t
 
-val create : unit -> t
+(** Task groups (incast queries, coflow jobs) under construction while
+    their member records stream in, keyed by the records' task id. *)
+type groups
 
-(** [observe t ~cct ~width ~censored ~deadline] folds one finished (or
-    censored) group in. [width] is the member-flow count; [deadline] is the
-    group deadline in seconds, if any. Censored groups contribute to counts
-    but not to the CCT moments or quantiles. *)
-val observe :
-  t -> cct:float -> width:int -> censored:bool -> deadline:float option -> unit
+val groups : unit -> groups
+
+(** [track gs r] adds record [r] (completed or censored) to its task's
+    group; records without a task id are ignored. *)
+val track : groups -> Fct.record -> unit
+
+(** [finish gs] folds every group into a fresh aggregate, in sorted task-id
+    order: CCT = last member finish − first member start (clamped at 0),
+    censored when any member is, deadline = min over member deadlines.
+    Censored groups count, but stay out of the CCT moments and quantiles.
+    [None] when no record carried a task id. *)
+val finish : groups -> t option
 
 val coflows : t -> int
 (** total groups observed (completed + censored) *)

@@ -91,6 +91,15 @@ let samples st =
   let start = (st.next - n + st.cap) mod st.cap in
   List.init n (fun i -> st.ring.((start + i) mod st.cap))
 
+let mean_peak st metric =
+  match
+    List.filter_map
+      (fun s -> if s.metric = metric then Some s.v else None)
+      (samples st)
+  with
+  | [] -> None
+  | vs -> Some (Summary.mean vs, Summary.max vs)
+
 let sample_json { t; metric; v } =
   let num x =
     if Float.is_nan x || x = Float.infinity || x = Float.neg_infinity then

@@ -37,6 +37,10 @@ val add : store -> t:float -> metric:string -> v:float -> unit
 val samples : store -> sample list
 (** Retained window, oldest first. *)
 
+val mean_peak : store -> string -> (float * float) option
+(** [(mean, peak)] of [metric]'s values in the retained window, or [None]
+    when the window holds none of them. *)
+
 val seen : store -> int
 (** Total samples ever added. *)
 

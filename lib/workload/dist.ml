@@ -2,8 +2,11 @@ type t = {
   sample : Rng.t -> float;
   mean : float;
   name : string;
+  key : string;
   icdf : (float -> float) option;
 }
+
+let floats xs = String.concat "," (List.map (Printf.sprintf "%.17g") xs)
 
 let uniform a b =
   if a > b then invalid_arg "Dist.uniform: empty interval";
@@ -11,6 +14,7 @@ let uniform a b =
     sample = (fun rng -> if a = b then a else Rng.uniform rng a b);
     mean = (a +. b) /. 2.;
     name = Printf.sprintf "U[%g,%g]" a b;
+    key = "uniform:" ^ floats [ a; b ];
     icdf = None;
   }
 
@@ -19,6 +23,7 @@ let constant v =
     sample = (fun _ -> v);
     mean = v;
     name = Printf.sprintf "const %g" v;
+    key = "constant:" ^ floats [ v ];
     icdf = None;
   }
 
@@ -27,6 +32,7 @@ let exponential ~mean =
     sample = (fun rng -> Rng.exponential rng ~mean);
     mean;
     name = Printf.sprintf "Exp(%g)" mean;
+    key = "exponential:" ^ floats [ mean ];
     icdf = None;
   }
 
@@ -39,6 +45,7 @@ let choice xs =
         sample = (fun rng -> arr.(Rng.int rng (Array.length arr)));
         mean = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs);
         name = "choice";
+        key = "choice:" ^ floats xs;
         icdf = None;
       }
 
@@ -85,7 +92,9 @@ let piecewise ~name points =
     let v1, p1 = arr.(i) and v2, p2 = arr.(i + 1) in
     mean := !mean +. ((p2 -. p1) *. (v1 +. v2) /. 2.)
   done;
-  { sample; mean = !mean; name; icdf = Some inv }
+  let knots = List.concat_map (fun (v, p) -> [ v; p ]) points in
+  let key = "piecewise:" ^ Digest.to_hex (Digest.string (floats knots)) in
+  { sample; mean = !mean; name; key; icdf = Some inv }
 
 (* Piecewise approximations of the flow-size CDFs used throughout the
    data-center transport literature (DCTCP production cluster and VL2). *)

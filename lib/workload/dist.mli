@@ -4,7 +4,13 @@
 type t = {
   sample : Rng.t -> float;
   mean : float;
-  name : string;
+  name : string;  (** display name; not an identity *)
+  key : string;
+      (** Canonical identity, built by the constructor from its parameters
+          at [%.17g]: the bounds of a uniform, the value of a constant, the
+          mean of an exponential, the full list of a choice, an MD5 of the
+          knots of a piecewise table. Equal keys sample identically; the
+          result-cache key uses it in place of [name]. *)
   icdf : (float -> float) option;
       (** Inverse CDF (quantile function) when the distribution was built
           from an empirical CDF table; [None] for parametric families.

@@ -36,24 +36,45 @@ let scheduling_key = function
   | Config.Edf -> "edf"
   | Config.Task_aware -> "task"
 
-let config_key (c : Config.t) =
+(* The key functions destructure every record they describe with an
+   exhaustive pattern: a new field fails the build (warning 9) until it is
+   keyed here. *)
+let config_key
+    {
+      Config.num_queues;
+      arb_period;
+      early_pruning;
+      prune_top_k;
+      delegation;
+      delegation_period;
+      local_only;
+      use_probes;
+      use_ref_rate;
+      scheduling;
+      rto_top;
+      rto_low;
+      ctrl_proc_delay;
+      ctrl_loss_prob;
+      state_expiry_rounds;
+      queue_limit_pkts;
+      mark_threshold;
+    } =
   String.concat ","
     [
-      Printf.sprintf "queues=%d" c.Config.num_queues;
-      Printf.sprintf "arb=%s" (fl c.Config.arb_period);
-      Printf.sprintf "prune=%b/%d" c.Config.early_pruning c.Config.prune_top_k;
-      Printf.sprintf "deleg=%b/%s" c.Config.delegation
-        (fl c.Config.delegation_period);
-      Printf.sprintf "local=%b" c.Config.local_only;
-      Printf.sprintf "probes=%b" c.Config.use_probes;
-      Printf.sprintf "ref=%b" c.Config.use_ref_rate;
-      Printf.sprintf "sched=%s" (scheduling_key c.Config.scheduling);
-      Printf.sprintf "rto=%s/%s" (fl c.Config.rto_top) (fl c.Config.rto_low);
-      Printf.sprintf "proc=%s" (fl c.Config.ctrl_proc_delay);
-      Printf.sprintf "ctrl-loss=%s" (fl c.Config.ctrl_loss_prob);
-      Printf.sprintf "expiry=%d" c.Config.state_expiry_rounds;
-      Printf.sprintf "qlim=%d" c.Config.queue_limit_pkts;
-      Printf.sprintf "mark=%d" c.Config.mark_threshold;
+      Printf.sprintf "queues=%d" num_queues;
+      Printf.sprintf "arb=%s" (fl arb_period);
+      Printf.sprintf "prune=%b/%d" early_pruning prune_top_k;
+      Printf.sprintf "deleg=%b/%s" delegation (fl delegation_period);
+      Printf.sprintf "local=%b" local_only;
+      Printf.sprintf "probes=%b" use_probes;
+      Printf.sprintf "ref=%b" use_ref_rate;
+      Printf.sprintf "sched=%s" (scheduling_key scheduling);
+      Printf.sprintf "rto=%s/%s" (fl rto_top) (fl rto_low);
+      Printf.sprintf "proc=%s" (fl ctrl_proc_delay);
+      Printf.sprintf "ctrl-loss=%s" (fl ctrl_loss_prob);
+      Printf.sprintf "expiry=%d" state_expiry_rounds;
+      Printf.sprintf "qlim=%d" queue_limit_pkts;
+      Printf.sprintf "mark=%d" mark_threshold;
     ]
 
 let protocol_key = function
@@ -62,42 +83,48 @@ let protocol_key = function
     | Runner.D3) as p ->
       Runner.name p
 
+let dist_opt_key = function None -> "-" | Some d -> d.Dist.key
+
 let pattern_key = function
   | Scenario.Left_right -> "left-right"
   | Scenario.Intra_rack n -> Printf.sprintf "intra-rack:%d" n
-  | Scenario.Incast { hosts; aggregators; fanin = None } ->
-      Printf.sprintf "incast:%d/%d" hosts aggregators
-  | Scenario.Incast { hosts; aggregators; fanin = Some d } ->
-      Printf.sprintf "incast:%d/%d/fanin=%s/%s" hosts aggregators d.Dist.name
-        (fl d.Dist.mean)
+  | Scenario.Incast { hosts; aggregators; fanin } ->
+      Printf.sprintf "incast:%d/%d/fanin=%s" hosts aggregators
+        (dist_opt_key fanin)
   | Scenario.Fat_tree k -> Printf.sprintf "fat-tree:%d" k
   | Scenario.Hotspot { k; hot_racks; hot_weight } ->
       Printf.sprintf "hotspot:%d/%d/%s" k hot_racks (fl hot_weight)
   | Scenario.Traffic_matrix { k } -> Printf.sprintf "traffic-matrix:%d" k
   | Scenario.Testbed -> "testbed"
 
-let scenario_key (s : Scenario.t) =
+let scenario_key
+    {
+      Scenario.name;
+      pattern;
+      size_bytes;
+      deadline_s;
+      load;
+      num_flows;
+      background_flows;
+      seed;
+      faults;
+      coflow;
+    } =
   String.concat "|"
     [
-      s.Scenario.name;
-      pattern_key s.Scenario.pattern;
-      "size=" ^ s.Scenario.size_bytes.Dist.name;
-      "mean=" ^ fl s.Scenario.size_bytes.Dist.mean;
-      (match s.Scenario.deadline_s with
-      | None -> "deadline=-"
-      | Some d -> Printf.sprintf "deadline=%s/%s" d.Dist.name (fl d.Dist.mean));
-      "load=" ^ fl s.Scenario.load;
-      Printf.sprintf "flows=%d" s.Scenario.num_flows;
-      Printf.sprintf "bg=%d" s.Scenario.background_flows;
-      Printf.sprintf "seed=%d" s.Scenario.seed;
-      "faults=" ^ Fault.spec_key s.Scenario.faults;
-      (match s.Scenario.coflow with
+      name;
+      pattern_key pattern;
+      "size=" ^ size_bytes.Dist.key;
+      "deadline=" ^ dist_opt_key deadline_s;
+      "load=" ^ fl load;
+      Printf.sprintf "flows=%d" num_flows;
+      Printf.sprintf "bg=%d" background_flows;
+      Printf.sprintf "seed=%d" seed;
+      "faults=" ^ Fault.spec_key faults;
+      (match coflow with
       | None -> "coflow=-"
       | Some { Scenario.width; deadline_s } ->
-          Printf.sprintf "coflow=%s/%s/%s" width.Dist.name (fl width.Dist.mean)
-            (match deadline_s with
-            | None -> "-"
-            | Some d -> Printf.sprintf "%s/%s" d.Dist.name (fl d.Dist.mean)));
+          Printf.sprintf "coflow=%s/%s" width.Dist.key (dist_opt_key deadline_s));
     ]
 
 let job_key ?horizon ?(profile = false) ?(stats = `Exact) ?(attrib = false)
@@ -122,11 +149,10 @@ let job_key ?horizon ?(profile = false) ?(stats = `Exact) ?(attrib = false)
         Printf.sprintf "attrib=%b" attrib;
         (* Hybrid runs (and hybrid-tagged packet runs — the classifier tag
            lands in every record) cache separately per threshold. *)
-        (match (hybrid : Runner.hybrid option) with
+        (match hybrid with
         | None -> "hybrid=-"
-        | Some h ->
-            Printf.sprintf "hybrid=%b/%d" h.Runner.enabled
-              h.Runner.fluid_threshold);
+        | Some { Runner.enabled; fluid_threshold } ->
+            Printf.sprintf "hybrid=%b/%d" enabled fluid_threshold);
       ]
   in
   Digest.to_hex (Digest.string descr)
@@ -190,11 +216,10 @@ let write_all fd s =
 type worker = { pid : int; idx : int; buf : Buffer.t; started : float }
 
 (* Fork one worker per pending job, at most [jobs] live at a time. Each
-   worker simulates its configuration and streams the encoded result back
-   over its pipe; the parent multiplexes reads with [select] so a worker
-   never blocks on a full pipe buffer. *)
-let run_pool ~jobs ~horizon ~profile ~stats ~attrib ~hybrid ~(arr : job array)
-    pending ~on_done =
+   worker simulates its job with [run_one] and streams the encoded result
+   back over its pipe; the parent multiplexes reads with [select] so a
+   worker never blocks on a full pipe buffer. *)
+let run_pool ~jobs ~run_one pending ~on_done =
   let queue = ref pending in
   let active : (Unix.file_descr, worker) Hashtbl.t = Hashtbl.create jobs in
   let spawn idx =
@@ -206,13 +231,7 @@ let run_pool ~jobs ~horizon ~profile ~stats ~attrib ~hybrid ~(arr : job array)
     | 0 ->
         Unix.close rd;
         let status =
-          match
-            let proto, scenario = arr.(idx) in
-            let r =
-              Runner.run ~profile ?horizon ~stats ~attrib ?hybrid proto scenario
-            in
-            write_all wr (Result_codec.encode r)
-          with
+          match write_all wr (Result_codec.encode (run_one idx)) with
           | () -> 0
           | exception exn ->
               Printf.eprintf "[parallel] worker for job %d died: %s\n%!" idx
@@ -341,50 +360,33 @@ let run_jobs ?jobs ?cache_dir ?horizon ?(profile = false) ?(stats = `Exact)
     | Some dir -> cache_store dir keys.(i) r
     | None -> ())
   in
-  (* 3. Simulate the representatives: in-process when [jobs = 1] (or for a
-     single job), over the fork pool otherwise. *)
-  (match !pending with
-  | [] -> ()
-  | [ i ] ->
-      let proto, scenario = arr.(i) in
-      (* lint: allow no-wallclock — job elapsed-time diagnostics only *)
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Runner.run ~profile ?horizon ~stats ~attrib ?hybrid proto scenario
-      in
-      (* lint: allow no-wallclock — job elapsed-time diagnostics only *)
-      publish i r (Unix.gettimeofday () -. t0)
-  | pending_list ->
-      if jobs = 1 then
-        List.iter
-          (fun i ->
-            let proto, scenario = arr.(i) in
-            (* lint: allow no-wallclock — job elapsed-time diagnostics only *)
-            let t0 = Unix.gettimeofday () in
-            let r =
-              Runner.run ~profile ?horizon ~stats ~attrib ?hybrid proto scenario
-            in
-            (* lint: allow no-wallclock — job elapsed-time diagnostics only *)
-            publish i r (Unix.gettimeofday () -. t0))
-          pending_list
-      else
-        run_pool ~jobs ~horizon ~profile ~stats ~attrib ~hybrid ~arr
-          pending_list ~on_done:publish);
+  (* 3. Simulate the representatives: in-process when [jobs = 1] or for a
+     single job, over the fork pool otherwise. *)
+  let run_one i =
+    let proto, scenario = arr.(i) in
+    Runner.run ~profile ?horizon ~stats ~attrib ?hybrid proto scenario
+  in
+  if jobs = 1 || List.compare_length_with !pending 1 <= 0 then
+    List.iter
+      (fun i ->
+        (* lint: allow no-wallclock — job elapsed-time diagnostics only *)
+        let t0 = Unix.gettimeofday () in
+        let r = run_one i in
+        (* lint: allow no-wallclock — job elapsed-time diagnostics only *)
+        publish i r (Unix.gettimeofday () -. t0))
+      !pending
+  else run_pool ~jobs ~run_one !pending ~on_done:publish;
   (* 4. Fan shared results back out to duplicate configurations. *)
   Array.to_list
     (Array.mapi
        (fun i r ->
          match r with
          | Some r -> r
-         | None -> (
-             match Hashtbl.find_opt rep keys.(i) with
-             | Some j -> (
-                 match results.(j) with
-                 | Some r ->
-                     settle i ~cached:true ~wall:0. r;
-                     r
-                 | None -> assert false)
-             | None -> assert false))
+         | None ->
+             (* Every key has a representative, settled above. *)
+             let r = Option.get results.(Hashtbl.find rep keys.(i)) in
+             settle i ~cached:true ~wall:0. r;
+             r)
        results)
 
 (* ---- sweep-level aggregation -------------------------------------------- *)

@@ -15,17 +15,6 @@ let name = function
 
 let pase = Pase Config.default
 
-(* Hybrid fidelity: which protocols may carry fluid (flow-level) traffic.
-   ECN-based transports converge to a fair share on long flows, which is
-   exactly what the max-min fluid model computes; PASE's rate assignment is
-   approximated by the same fair share while a flow is fluid (arbitration
-   re-engages at demotion). pFabric/PDQ/D3 schedule packets by remaining
-   size or explicit per-flow rates — collapsing them to a fair share would
-   change the very mechanism under study, so they stay packet-level. *)
-let fluid_capable = function
-  | Dctcp | D2tcp | L2dct | Pase _ -> true
-  | Pfabric | Pdq | D3 -> false
-
 type hybrid = { enabled : bool; fluid_threshold : int }
 
 let default_fluid_threshold = 32768
@@ -82,52 +71,249 @@ type result = {
   gc_major_collections : int;
 }
 
-(* Running state of one task group (incast query or coflow job) while its
-   member records stream in; folded into the Coflow aggregate at the end of
-   the run, in sorted task-id order. *)
-type group = {
-  mutable first_start : float;
-  mutable last_end : float;
-  mutable members : int;
-  mutable any_censored : bool;
-  mutable group_deadline : float option;  (* min over member deadlines *)
-}
-
 let mss = 1460
+
+(* Bits on the wire per full-sized data packet. *)
+let pkt_bits = float_of_int (8 * (mss + Packet.header_bytes))
 
 (* ECN marking threshold K, scaled with link speed as in the DCTCP
    guidelines (65 packets at 10 Gbps, 20 at 1 Gbps). *)
 let mark_threshold_for rate_bps = if rate_bps >= 5e9 then 65 else 20
 
-let qdisc_for protocol counters ~rtt =
-  (* Packets of one edge-link (1 Gbps) bandwidth-delay product. *)
-  let bdp_pkts rate_bps =
-    rate_bps *. rtt /. float_of_int (8 * (mss + Packet.header_bytes))
+(* A protocol's arbitration side for one run: the control state its
+   switches hold (PASE's hierarchy, PDQ arbiters, D3 routers), created once
+   per run, and the hooks the runner drives. [start_flow] attaches the
+   protocol's sender to a flow; [init_cwnd] seeds the window of a flow
+   demoted from the fluid tier. The fault hooks mirror {!Fault.create}'s;
+   [extra] feeds the fabric sampler. *)
+type plane = {
+  start_flow :
+    flow:Flow.t ->
+    task:int option ->
+    init_rtt:float ->
+    init_cwnd:float option ->
+    on_complete:(Sender_base.t -> fct:float -> unit) ->
+    unit;
+  on_crash : int -> unit;
+  on_restart : int -> unit;
+  on_ctrl_loss : float option -> unit;
+  on_link_down : int -> int -> unit;
+  extra : unit -> (string * float) list;
+  stop : unit -> unit;
+  recovery_s : unit -> float;  (* nan when no crash recovered *)
+}
+
+(* One row per protocol: everything the runner needs to know about it. *)
+type row = {
+  qdisc : Counters.t -> rtt:float -> rate_bps:float -> Queue_disc.t;
+  standing : (float -> float) option;
+      (* Fluid standing-queue delay at a bottleneck of the given rate;
+         [None] for protocols that stay packet-level under hybrid. *)
+  plane : Engine.t -> Counters.t -> Scenario.plan -> plane;
+}
+
+let inert start_flow =
+  {
+    start_flow;
+    on_crash = ignore;
+    on_restart = ignore;
+    on_ctrl_loss = ignore;
+    on_link_down = (fun _ _ -> ());
+    extra = (fun () -> []);
+    stop = ignore;
+    recovery_s = (fun () -> nan);
+  }
+
+(* No switch state: the endpoint is the whole protocol. *)
+let endpoint_only start _ _ plan = inert (start plan.Scenario.topo.Topology.net)
+
+(* Per-link switch state (PDQ arbiters, D3 routers), one value per directed
+   link, created on first use along a flow's route. A crashed node loses the
+   state of its outgoing links; a down link loses both directions'. *)
+let path_plane ~make ~clear start _ _ plan =
+  let net = plan.Scenario.topo.Topology.net in
+  let tbl = Hashtbl.create 32 in
+  let rec along acc = function
+    | a :: (b :: _ as rest) ->
+        let r =
+          match Hashtbl.find_opt tbl (a, b) with
+          | Some r -> r
+          | None ->
+              let link = Option.get (Net.link_from net a b) in
+              let r = make ~capacity_bps:(Link.rate_bps link) in
+              Hashtbl.replace tbl (a, b) r;
+              r
+        in
+        along (r :: acc) rest
+    | _ -> List.rev acc
   in
-  match protocol with
-  | Dctcp | D2tcp | L2dct ->
-      fun ~rate_bps ->
+  let route (flow : Flow.t) =
+    along []
+      (Net.route net ~flow:flow.Flow.id ~src:flow.Flow.src ~dst:flow.Flow.dst ())
+  in
+  {
+    (inert (start net route)) with
+    on_crash =
+      (fun node -> Det_tbl.iter (fun (a, _) r -> if a = node then clear r) tbl);
+    on_link_down =
+      (fun a b ->
+        List.iter
+          (fun key -> Option.iter clear (Hashtbl.find_opt tbl key))
+          [ (a, b); (b, a) ]);
+  }
+
+(* DCTCP and its deadline-/size-aware variants: RED/ECN queues, and a
+   fluid tier that holds ~K of standing backlog at its bottleneck, which
+   packet-tier traffic waits behind in the full engine. 3/4 K: the sawtooth
+   oscillates below the threshold, so the time-average backlog sits under K
+   (calibrated on the fat-tree accuracy harness; see DESIGN.md §15). *)
+let ecn_row (conf : ?init_rtt:float -> unit -> Sender_base.conf)
+    (create :
+      Net.t -> flow:Flow.t -> ?conf:Sender_base.conf -> on_complete:_ -> unit ->
+      Sender_base.t) =
+  {
+    qdisc =
+      (fun counters ~rtt:_ ~rate_bps ->
         Queue_disc.red_ecn counters ~limit_pkts:225
-          ~mark_threshold:(mark_threshold_for rate_bps)
+          ~mark_threshold:(mark_threshold_for rate_bps));
+    standing =
+      Some
+        (fun rate_bps ->
+          0.75 *. float_of_int (mark_threshold_for rate_bps) *. pkt_bits
+          /. rate_bps);
+    plane =
+      endpoint_only (fun net ~flow ~task:_ ~init_rtt ~init_cwnd ~on_complete ->
+          let conf = conf ~init_rtt () in
+          let conf =
+            Option.fold init_cwnd ~none:conf ~some:(fun w ->
+                { conf with Sender_base.init_cwnd = w })
+          in
+          Sender_base.start (create net ~flow ~conf ~on_complete ()));
+  }
+
+(* Hybrid fidelity: ECN-based transports converge to a fair share on long
+   flows, which is exactly what the max-min fluid model computes; PASE's
+   rate assignment is approximated by the same fair share while a flow is
+   fluid (arbitration re-engages at demotion). pFabric/PDQ/D3 schedule
+   packets by remaining size or explicit per-flow rates — collapsing them to
+   a fair share would change the very mechanism under study, so they stay
+   packet-level ([standing = None]). *)
+let row = function
+  | Dctcp -> ecn_row Dctcp.conf Dctcp.create
+  | D2tcp -> ecn_row D2tcp.conf D2tcp.create
+  | L2dct -> ecn_row L2dct.conf L2dct.create
   | Pfabric ->
-      (* Table 3 verbatim: 76-packet ports (= 2 x the BDP the paper sizes
-         against). *)
-      fun ~rate_bps:_ -> Pfabric_queue.create counters ~limit_pkts:76
+      {
+        (* Table 3 verbatim: 76-packet ports (= 2 x the BDP the paper sizes
+           against), flows start at a 38-segment window (line rate for over
+           an RTT on every topology evaluated). *)
+        qdisc =
+          (fun counters ~rtt:_ ~rate_bps:_ ->
+            Pfabric_queue.create counters ~limit_pkts:76);
+        standing = None;
+        plane =
+          endpoint_only
+            (fun net ~flow ~task:_ ~init_rtt ~init_cwnd:_ ~on_complete ->
+              Sender_base.start
+                (Pfabric_host.create net ~flow
+                   ~conf:(Pfabric_host.conf ~init_rtt ~init_cwnd:38. ())
+                   ~on_complete ()));
+      }
   | Pdq ->
-      (* PDQ argues for (and depends on) near-empty queues: it provisions
-         only a little over one BDP of buffering. Rate-update staleness
-         under heavy churn then surfaces as drops + RTOs, the flow-switching
-         cost Fig 2 measures. *)
-      fun ~rate_bps ->
-        let scale = if rate_bps >= 5e9 then 10. else 1. in
-        let limit = max 12 (int_of_float (1.6 *. scale *. bdp_pkts 1e9)) in
-        Queue_disc.droptail counters ~limit_pkts:limit
-  | D3 -> fun ~rate_bps:_ -> Queue_disc.droptail counters ~limit_pkts:225
+      {
+        (* PDQ argues for (and depends on) near-empty queues: it provisions
+           only a little over one BDP of (1 Gbps edge) buffering. Rate-update
+           staleness under heavy churn then surfaces as drops + RTOs, the
+           flow-switching cost Fig 2 measures. *)
+        qdisc =
+          (fun counters ~rtt ~rate_bps ->
+            let scale = if rate_bps >= 5e9 then 10. else 1. in
+            let limit =
+              max 12 (int_of_float (1.6 *. scale *. (1e9 *. rtt /. pkt_bits)))
+            in
+            Queue_disc.droptail counters ~limit_pkts:limit);
+        standing = None;
+        plane =
+          path_plane ~make:Pdq.Arbiter.create ~clear:Pdq.Arbiter.clear
+            (fun net route ~flow ~task:_ ~init_rtt ~init_cwnd:_ ~on_complete ->
+              let arbiters = route flow in
+              Pdq.start
+                (Pdq.create net ~flow ~arbiters ~rtt:init_rtt
+                   ~conf:(Pdq.conf ~init_rtt ()) ~on_complete ()));
+      }
+  | D3 ->
+      {
+        qdisc =
+          (fun counters ~rtt:_ ~rate_bps:_ ->
+            Queue_disc.droptail counters ~limit_pkts:225);
+        standing = None;
+        plane =
+          path_plane ~make:D3.Router.create ~clear:D3.Router.clear
+            (fun net route ~flow ~task:_ ~init_rtt ~init_cwnd:_ ~on_complete ->
+              let routers = route flow in
+              D3.start
+                (D3.create net ~flow ~routers ~rtt:init_rtt
+                   ~conf:(D3.conf ~init_rtt ()) ~on_complete ()));
+      }
   | Pase cfg ->
-      fun ~rate_bps ->
-        Prio_queue.create counters ~bands:cfg.Config.num_queues
-          ~limit_pkts:cfg.Config.queue_limit_pkts
-          ~mark_threshold:(mark_threshold_for rate_bps)
+      {
+        qdisc =
+          (fun counters ~rtt:_ ~rate_bps ->
+            Prio_queue.create counters ~bands:cfg.Config.num_queues
+              ~limit_pkts:cfg.Config.queue_limit_pkts
+              ~mark_threshold:(mark_threshold_for rate_bps));
+        (* Arbitration paces senders to allocated rates and keeps queues
+           near-empty: no standing-queue term. *)
+        standing = Some (fun _ -> 0.);
+        plane =
+          (fun engine counters plan ->
+            let topo = plan.Scenario.topo in
+            (* Arbitration runs once per RTT (sec 3.1); track the
+               topology's. *)
+            let h =
+              Hierarchy.create engine counters
+                {
+                  cfg with
+                  Config.arb_period =
+                    Float.min cfg.Config.arb_period plan.Scenario.rtt;
+                }
+                topo
+                ~base_rate_bps:(pkt_bits /. plan.Scenario.rtt)
+            in
+            Hierarchy.start h;
+            {
+              start_flow =
+                (fun ~flow ~task ~init_rtt ~init_cwnd:_ ~on_complete ->
+                  (* Task-aware scheduling: all flows of a task share one
+                     criterion, tasks served in arrival order (task ids are
+                     assigned in arrival order by the scenario). *)
+                  let criterion_override =
+                    match (cfg.Config.scheduling, task) with
+                    | Config.Task_aware, Some task ->
+                        Some (fun () -> float_of_int task)
+                    | (Config.Task_aware | Config.Srpt | Config.Edf), _ -> None
+                  in
+                  Pase_host.start
+                    (Pase_host.create topo.Topology.net h ~flow ~cfg
+                       ~rtt:init_rtt ~nic_bps:topo.Topology.edge_rate_bps
+                       ?criterion_override ~on_complete ()));
+              on_crash = Hierarchy.fail_node h;
+              on_restart = Hierarchy.recover_node h;
+              on_ctrl_loss = Hierarchy.set_ctrl_loss_override h;
+              on_link_down = (fun _ _ -> ());
+              extra =
+                (fun () ->
+                  [
+                    ("arb.rounds", float_of_int (Hierarchy.rounds h));
+                    ("arb.count", float_of_int (Hierarchy.arbitrator_count h));
+                  ]);
+              stop = (fun () -> Hierarchy.stop h);
+              recovery_s =
+                (fun () -> Option.value (Hierarchy.recovery_s h) ~default:nan);
+            });
+      }
+
+let fluid_capable p = Option.is_some (row p).standing
 
 let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
     ?(attrib = false) ?on_attrib ?series ?hybrid protocol scenario =
@@ -148,217 +334,73 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
       (run ?horizon ~stats ?hybrid protocol (Scenario.with_faults scenario []))
         .afct
   in
+  let row = row protocol in
   let attrib_agg = if attrib then Some (Attrib.create ()) else None in
   if attrib then Delay.enable ();
   Packet.reset_ids ();
   let engine = Engine.create () in
   Engine.set_profiling engine profile;
   let counters = Counters.create () in
-  let qdisc = qdisc_for protocol counters ~rtt:(Scenario.nominal_rtt scenario) in
-  let plan = Scenario.build scenario engine counters ~qdisc in
+  let plan =
+    Scenario.build scenario engine counters
+      ~qdisc:(row.qdisc counters ~rtt:(Scenario.nominal_rtt scenario))
+  in
   let topo = plan.Scenario.topo in
   let net = topo.Topology.net in
-  (* The fluid tier exists only when hybrid is enabled for a whitelisted
-     protocol; with [None] every coupling hook below compiles to a
-     pattern-match on a constant and the packet path is untouched. *)
-  let hybrid_on =
-    match hybrid with
-    | Some h -> h.enabled && fluid_capable protocol
-    | None -> false
+  (* Hybrid fidelity: the classifier's half of the decision, and the fluid
+     tier, which exists only when hybrid is enabled for a fluid-capable
+     protocol. Without it every coupling hook below is a match on [None]
+     and the packet path is untouched. *)
+  let fluid =
+    match (hybrid, row.standing) with
+    | Some h, Some standing_of -> Some (h, standing_of)
+    | (Some _ | None), _ -> None
   in
   let fluid_tier =
-    if hybrid_on then
-      match hybrid with
-      | Some h ->
-          (* DCTCP-family fluid flows hold ~K (the marking threshold) of
-             standing backlog at their bottleneck; packet-tier traffic
-             waits behind it in the full engine, so the fluid tier pushes
-             the equivalent latency. PASE's arbitration paces senders to
-             allocated rates and keeps queues near-empty: no term. *)
-          let standing_of =
-            match protocol with
-            | Dctcp | D2tcp | L2dct ->
-                (* 3/4 K: the sawtooth oscillates below the threshold, so
-                   the time-average backlog sits under K (calibrated on the
-                   fat-tree accuracy harness; see DESIGN.md §15). *)
-                fun rate_bps ->
-                  0.75
-                  *. float_of_int (mark_threshold_for rate_bps)
-                  *. float_of_int (8 * (mss + Packet.header_bytes))
-                  /. rate_bps
-            | Pase _ | Pfabric | Pdq | D3 -> fun _ -> 0.
-          in
-          Some
-            (Fluid.create engine net
-               ~demote_bytes:(float_of_int h.fluid_threshold)
-               ~standing_of
-               (* One pass per topology RTT: congestion control cannot
-                  re-converge faster anyway, and it decouples allocation
-                  cost from the flow churn rate at scale. *)
-               ~min_interval:(Scenario.nominal_rtt scenario) ())
-      | None -> None
-    else None
+    match fluid with
+    | Some (h, standing_of) when h.enabled ->
+        Some
+          (Fluid.create engine net
+             ~demote_bytes:(float_of_int h.fluid_threshold)
+             ~standing_of
+             (* One pass per topology RTT: congestion control cannot
+                re-converge faster anyway, and it decouples allocation
+                cost from the flow churn rate at scale. *)
+             ~min_interval:(Scenario.nominal_rtt scenario) ())
+    | Some _ | None -> None
   in
   let fct =
     match stats with
     | `Exact -> Fct.create ()
     | `Streaming -> Fct.create_streaming ~seed:scenario.Scenario.seed ()
   in
-  (* Task groups (incast queries, coflow jobs) under construction: keyed by
-     task id, folded into the Coflow aggregate after the run. *)
-  let coflow_groups : (int, group) Hashtbl.t = Hashtbl.create 64 in
-  let coflow_track (r : Fct.record) =
-    match r.Fct.task with
-    | None -> ()
-    | Some tid ->
-        let g =
-          match Hashtbl.find_opt coflow_groups tid with
-          | Some g -> g
-          | None ->
-              let g =
-                {
-                  first_start = infinity;
-                  last_end = neg_infinity;
-                  members = 0;
-                  any_censored = false;
-                  group_deadline = None;
-                }
-              in
-              Hashtbl.replace coflow_groups tid g;
-              g
-        in
-        g.members <- g.members + 1;
-        if r.Fct.start_time < g.first_start then g.first_start <- r.Fct.start_time;
-        let finish = r.Fct.start_time +. r.Fct.fct in
-        if finish > g.last_end then g.last_end <- finish;
-        if r.Fct.censored then g.any_censored <- true;
-        (match r.Fct.deadline with
-        | Some d ->
-            g.group_deadline <-
-              Some
-                (match g.group_deadline with
-                | None -> d
-                | Some d0 -> Float.min d0 d)
-        | None -> ())
-  in
+  let coflow_groups = Coflow.groups () in
   (* Every record goes through here: aggregate, then spill to the caller's
      sink (the CLI's JSONL stream) if one is attached. *)
   let record r =
     Fct.add_record fct r;
-    coflow_track r;
-    match on_record with Some f -> f r | None -> ()
+    Coflow.track coflow_groups r;
+    Option.iter (fun f -> f r) on_record
   in
-  let hierarchy =
-    match protocol with
-    | Pase cfg ->
-        let base_rate_bps = 8. *. float_of_int (mss + Packet.header_bytes) /. plan.Scenario.rtt in
-        (* Arbitration runs once per RTT (sec 3.1); track the topology's. *)
-        let cfg =
-          { cfg with Config.arb_period = Float.min cfg.Config.arb_period plan.Scenario.rtt }
-        in
-        let h = Hierarchy.create engine counters cfg topo ~base_rate_bps in
-        Hierarchy.start h;
-        Some h
-    | Dctcp | D2tcp | L2dct | Pfabric | Pdq | D3 -> None
+  let plane = row.plane engine counters plan in
+  (* A no-op for the (usual) empty schedule. *)
+  let faults =
+    Fault.create topo ~on_crash:plane.on_crash ~on_restart:plane.on_restart
+      ~on_ctrl_loss:plane.on_ctrl_loss
+      ~on_link:(fun a b ~up ->
+        (* A down link demotes every fluid flow crossing it: loss and
+           recovery behaviour need the packet engine. *)
+        Option.iter (fun fl -> Fluid.on_link_change fl a b ~up) fluid_tier;
+        if not up then plane.on_link_down a b)
+      scenario.Scenario.faults
   in
-  let pdq_arbs : (int * int, Pdq.Arbiter.t) Hashtbl.t = Hashtbl.create 32 in
-  let d3_routers : (int * int, D3.Router.t) Hashtbl.t = Hashtbl.create 32 in
-  let fault_plane =
-    match scenario.Scenario.faults with
-    | [] -> None
-    | events ->
-        let on_crash node =
-          (match hierarchy with
-          | Some h -> Hierarchy.fail_node h node
-          | None -> ());
-          (* A crashed switch also loses any PDQ/D3 control state it runs
-             (arbiters/routers of its outgoing links). *)
-          Det_tbl.iter
-            (fun (a, _) arb -> if a = node then Pdq.Arbiter.clear arb)
-            pdq_arbs;
-          Det_tbl.iter
-            (fun (a, _) r -> if a = node then D3.Router.clear r)
-            d3_routers
-        in
-        let on_restart node =
-          match hierarchy with
-          | Some h -> Hierarchy.recover_node h node
-          | None -> ()
-        in
-        let on_ctrl_loss p =
-          match hierarchy with
-          | Some h -> Hierarchy.set_ctrl_loss_override h p
-          | None -> ()
-        in
-        let on_link a b ~up =
-          (* A down link demotes every fluid flow crossing it: loss and
-             recovery behaviour need the packet engine. *)
-          (match fluid_tier with
-          | Some fl -> Fluid.on_link_change fl a b ~up
-          | None -> ());
-          if not up then
-            List.iter
-              (fun key ->
-                (match Hashtbl.find_opt pdq_arbs key with
-                | Some arb -> Pdq.Arbiter.clear arb
-                | None -> ());
-                match Hashtbl.find_opt d3_routers key with
-                | Some r -> D3.Router.clear r
-                | None -> ())
-              [ (a, b); (b, a) ]
-        in
-        Some (Fault.create topo ~on_crash ~on_restart ~on_ctrl_loss ~on_link events)
+  let total_measured =
+    List.length
+      (List.filter (fun s -> not s.Scenario.long_lived) plan.Scenario.specs)
   in
-  let d3_routers_for ~flow src dst =
-    let rec links acc = function
-      | a :: (b :: _ as rest) ->
-          let router =
-            match Hashtbl.find_opt d3_routers (a, b) with
-            | Some r -> r
-            | None ->
-                let link =
-                  match Net.link_from net a b with
-                  | Some l -> l
-                  | None -> assert false
-                in
-                let r = D3.Router.create ~capacity_bps:(Link.rate_bps link) in
-                Hashtbl.replace d3_routers (a, b) r;
-                r
-          in
-          links (router :: acc) rest
-      | _ -> List.rev acc
-    in
-    links [] (Net.route net ~flow ~src ~dst ())
-  in
-  let pdq_arbiters_for ~flow src dst =
-    let rec links acc = function
-      | a :: (b :: _ as rest) ->
-          let arb =
-            match Hashtbl.find_opt pdq_arbs (a, b) with
-            | Some arb -> arb
-            | None ->
-                let link =
-                  match Net.link_from net a b with
-                  | Some l -> l
-                  | None -> assert false
-                in
-                let arb = Pdq.Arbiter.create ~capacity_bps:(Link.rate_bps link) in
-                Hashtbl.replace pdq_arbs (a, b) arb;
-                arb
-          in
-          links (arb :: acc) rest
-      | _ -> List.rev acc
-    in
-    links [] (Net.route net ~flow ~src ~dst ())
-  in
-  let measured =
-    List.filter (fun s -> not s.Scenario.long_lived) plan.Scenario.specs
-  in
-  let total_measured = List.length measured in
   let completed = ref 0 in
-  (* Flows still open at the horizon: spec plus the launch-time size and
-     zero-load FCT, so censored records carry the same [ideal] and [task]
-     fields as completed ones. *)
+  (* Flows still open at the horizon: spec, launch-time size, zero-load
+     FCT. *)
   let open_flows : (int, Scenario.flow_spec * int * float) Hashtbl.t =
     Hashtbl.create 256
   in
@@ -367,11 +409,27 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
      configured but disabled, so a packet-only comparison run cuts the
      identical short-flow subset (see Fct.packet_tier_percentile). *)
   let classify (spec : Scenario.flow_spec) =
-    match hybrid with
-    | Some h ->
-        fluid_capable protocol
-        && Scenario.fluid_eligible ~threshold_bytes:h.fluid_threshold spec
+    match fluid with
+    | Some (h, _) ->
+        Scenario.fluid_eligible ~threshold_bytes:h.fluid_threshold spec
     | None -> false
+  in
+  (* Completed and censored records alike carry the launch-time size and
+     the zero-load FCT. *)
+  let record_flow id (spec : Scenario.flow_spec) size_pkts ideal ~start_time
+      ~fct ~censored =
+    record
+      {
+        Fct.flow = id;
+        size_pkts;
+        start_time;
+        fct;
+        deadline = spec.Scenario.deadline;
+        censored;
+        ideal = Some ideal;
+        task = spec.Scenario.task;
+        fluid = classify spec;
+      }
   in
   let launch (spec : Scenario.flow_spec) =
     let id = !next_id in
@@ -394,7 +452,6 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
     in
     if not spec.Scenario.long_lived then
       Hashtbl.replace open_flows id (spec, size_pkts, ideal);
-    let fluid_tag = classify spec in
     (* Start — or restart, after fluid demotion — the packet-level life of
        the flow. For a never-fluid flow the arguments are the full size and
        original deadline and this is exactly the pre-hybrid launch path. *)
@@ -406,108 +463,36 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
       let recv = Receiver.create net ~flow ~ack_tos:0 ~ack_prio:0. () in
       let on_complete _sender ~fct:_ =
         Receiver.stop recv;
-        (match fluid_tier with
-        | Some fl -> Fluid.unregister_packet fl ~id
-        | None -> ());
+        Option.iter (fun fl -> Fluid.unregister_packet fl ~id) fluid_tier;
         if not spec.Scenario.long_lived then begin
           Hashtbl.remove open_flows id;
-          record
-            {
-              Fct.flow = id;
-              size_pkts;
-              start_time = launched_at;
-              (* Full span, covering any fluid phase of a demoted flow. For
-                 a never-fluid flow this is bit-identical to the sender's
-                 reported fct: same subtraction, same operands. *)
-              fct = Engine.now engine -. launched_at;
-              deadline = spec.Scenario.deadline;
-              censored = false;
-              ideal = Some ideal;
-              task = spec.Scenario.task;
-              fluid = fluid_tag;
-            };
-          (match attrib_agg with
-          | Some agg -> (
-              match Delay.take ~flow:id with
-              | Some r ->
+          (* Full span, covering any fluid phase of a demoted flow. For a
+             never-fluid flow this is bit-identical to the sender's reported
+             fct: same subtraction, same operands. *)
+          record_flow id spec size_pkts ideal ~start_time:launched_at
+            ~fct:(Engine.now engine -. launched_at) ~censored:false;
+          Option.iter
+            (fun agg ->
+              Option.iter
+                (fun r ->
                   Attrib.add agg ~size_pkts r;
-                  (match on_attrib with
-                  | Some f -> f ~size_pkts r
-                  | None -> ())
-              | None -> ())
-          | None -> ());
+                  Option.iter (fun f -> f ~size_pkts r) on_attrib)
+                (Delay.take ~flow:id))
+            attrib_agg;
           incr completed;
           if !completed = total_measured then Engine.stop engine
         end
       in
-      (match fluid_tier with
-      | Some fl ->
+      Option.iter
+        (fun fl ->
           Fluid.register_packet fl ~id ~src:spec.Scenario.src
-            ~dst:spec.Scenario.dst
-      | None -> ());
-      match protocol with
-      | Dctcp ->
-          let conf = Dctcp.conf ~init_rtt () in
-          let conf =
-            match init_cwnd with
-            | Some w -> { conf with Sender_base.init_cwnd = w }
-            | None -> conf
-          in
-          Sender_base.start (Dctcp.create net ~flow ~conf ~on_complete ())
-      | D2tcp ->
-          let conf = D2tcp.conf ~init_rtt () in
-          let conf =
-            match init_cwnd with
-            | Some w -> { conf with Sender_base.init_cwnd = w }
-            | None -> conf
-          in
-          Sender_base.start (D2tcp.create net ~flow ~conf ~on_complete ())
-      | L2dct ->
-          let conf = L2dct.conf ~init_rtt () in
-          let conf =
-            match init_cwnd with
-            | Some w -> { conf with Sender_base.init_cwnd = w }
-            | None -> conf
-          in
-          Sender_base.start (L2dct.create net ~flow ~conf ~on_complete ())
-      | Pfabric ->
-          (* Table 3 verbatim: flows start at a 38-segment window (line rate
-             for over an RTT on every topology evaluated). *)
-          Sender_base.start
-            (Pfabric_host.create net ~flow
-               ~conf:(Pfabric_host.conf ~init_rtt ~init_cwnd:38. ())
-               ~on_complete ())
-      | Pdq ->
-          let arbiters =
-            pdq_arbiters_for ~flow:id spec.Scenario.src spec.Scenario.dst
-          in
-          Pdq.start
-            (Pdq.create net ~flow ~arbiters ~rtt:init_rtt
-               ~conf:(Pdq.conf ~init_rtt ()) ~on_complete ())
-      | D3 ->
-          let routers =
-            d3_routers_for ~flow:id spec.Scenario.src spec.Scenario.dst
-          in
-          D3.start
-            (D3.create net ~flow ~routers ~rtt:init_rtt
-               ~conf:(D3.conf ~init_rtt ()) ~on_complete ())
-      | Pase cfg ->
-          let h = match hierarchy with Some h -> h | None -> assert false in
-          (* Task-aware scheduling: all flows of a task share one criterion,
-             tasks served in arrival order (task ids are assigned in arrival
-             order by the scenario). *)
-          let criterion_override =
-            match (cfg.Config.scheduling, spec.Scenario.task) with
-            | Config.Task_aware, Some task -> Some (fun () -> float_of_int task)
-            | (Config.Task_aware | Config.Srpt | Config.Edf), _ -> None
-          in
-          Pase_host.start
-            (Pase_host.create net h ~flow ~cfg ~rtt:init_rtt
-               ~nic_bps:topo.Topology.edge_rate_bps ?criterion_override
-               ~on_complete ())
+            ~dst:spec.Scenario.dst)
+        fluid_tier;
+      plane.start_flow ~flow ~task:spec.Scenario.task ~init_rtt ~init_cwnd
+        ~on_complete
     in
     match fluid_tier with
-    | Some fl when fluid_tag ->
+    | Some fl when classify spec ->
         (* Fluid phase first; [on_demote] fires exactly once (synchronously
            when the size is already at the boundary) and hands the packet
            tail over with the settled remaining bytes and last fluid rate. *)
@@ -535,11 +520,7 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
                tail resumes at speed instead of slow-starting. *)
             let init_cwnd =
               if rate_bps <= 0. then None
-              else
-                Some
-                  (Float.max 2.
-                     (rate_bps *. init_rtt
-                     /. float_of_int (8 * (mss + Packet.header_bytes))))
+              else Some (Float.max 2. (rate_bps *. init_rtt /. pkt_bits))
             in
             start_packet ~remaining_pkts ~deadline ~init_cwnd ())
     | Some _ | None ->
@@ -558,92 +539,47 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
   let horizon =
     match horizon with Some h -> h | None -> last_arrival +. 5.0
   in
-  (match fault_plane with Some fp -> Fault.arm fp | None -> ());
+  Fault.arm faults;
   (* Fabric sampler: observes the finalized topology's links at a fixed
      sim-time cadence, plus arbitration-plane counters. Pure observation —
      results are unchanged whether or not it runs. *)
   let sampler =
-    match series with
-    | None -> None
-    | Some (store, interval) ->
+    Option.map
+      (fun (store, interval) ->
         let links =
           List.map
             (fun (a, b, l) -> (Printf.sprintf "%d-%d" a b, l))
             (Net.links net)
         in
         let extra () =
-          let base =
-            [
+          plane.extra ()
+          @ [
               ("ctrl.msgs", float_of_int counters.Counters.ctrl_msgs);
               ("ctrl.lost", float_of_int counters.Counters.ctrl_lost);
             ]
-          in
-          match hierarchy with
-          | Some h ->
-              ("arb.rounds", float_of_int (Hierarchy.rounds h))
-              :: ("arb.count", float_of_int (Hierarchy.arbitrator_count h))
-              :: base
-          | None -> base
         in
-        Some (Sampler.start engine ~store ~interval ~links ~extra ())
+        Sampler.start engine ~store ~interval ~links ~extra ())
+      series
   in
   Engine.run ~until:horizon engine;
-  (match sampler with Some s -> Sampler.stop s | None -> ());
-  (match hierarchy with Some h -> Hierarchy.stop h | None -> ());
-  (match fault_plane with Some fp -> Fault.finish fp | None -> ());
+  Option.iter Sampler.stop sampler;
+  plane.stop ();
+  Fault.finish faults;
   let end_time = Engine.now engine in
   (* Flows still open at the horizon are censored. Sorted traversal: the
      record order below is the record order in the published result. *)
   Det_tbl.iter
     (fun id ((spec : Scenario.flow_spec), size_pkts, ideal) ->
-      record
-        {
-          Fct.flow = id;
-          size_pkts;
-          start_time = spec.Scenario.start;
-          fct = Float.max 0. (end_time -. spec.Scenario.start);
-          deadline = spec.Scenario.deadline;
-          censored = true;
-          ideal = Some ideal;
-          task = spec.Scenario.task;
-          fluid = classify spec;
-        })
+      record_flow id spec size_pkts ideal ~start_time:spec.Scenario.start
+        ~fct:(Float.max 0. (end_time -. spec.Scenario.start))
+        ~censored:true)
     open_flows;
   let prof = Engine.profile engine in
   let afct = Fct.afct fct in
-  let link_downtime_s =
-    match fault_plane with
-    | Some fp -> (Fault.stats fp).Fault.downtime_s
-    | None -> 0.
-  in
-  let recovery_s =
-    match hierarchy with
-    | Some h -> (
-        match Hierarchy.recovery_s h with Some s -> s | None -> nan)
-    | None -> nan
-  in
   if attrib then Delay.disable ();
-  (* All-workers-finish: CCT spans the group's first start to its last
-     member's finish. Sorted task order makes t-digest insertion — and so
-     every published quantile — byte-stable across runs and processes. *)
-  let coflow_agg =
-    if Hashtbl.length coflow_groups = 0 then None
-    else begin
-      let agg = Coflow.create () in
-      Det_tbl.iter
-        (fun _tid g ->
-          Coflow.observe agg
-            ~cct:(Float.max 0. (g.last_end -. g.first_start))
-            ~width:g.members ~censored:g.any_censored
-            ~deadline:g.group_deadline)
-        coflow_groups;
-      Some agg
-    end
-  in
   let hybrid_stats =
-    match hybrid with
-    | None -> None
-    | Some h ->
+    Option.map
+      (fun h ->
         let fs =
           match fluid_tier with
           | Some fl ->
@@ -661,17 +597,17 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
                 live = 0;
               }
         in
-        Some
-          {
-            hybrid_on;
-            threshold_bytes = h.fluid_threshold;
-            fluid_flows = fs.Fluid.admitted;
-            fluid_demotions = fs.Fluid.demotions;
-            fault_demotions = fs.Fluid.fault_demotions;
-            fluid_recomputes = fs.Fluid.recomputes;
-            fluid_bytes = fs.Fluid.bytes_advanced;
-            short_p99 = Fct.packet_tier_percentile fct 99.;
-          }
+        {
+          hybrid_on = Option.is_some fluid_tier;
+          threshold_bytes = h.fluid_threshold;
+          fluid_flows = fs.Fluid.admitted;
+          fluid_demotions = fs.Fluid.demotions;
+          fault_demotions = fs.Fluid.fault_demotions;
+          fluid_recomputes = fs.Fluid.recomputes;
+          fluid_bytes = fs.Fluid.bytes_advanced;
+          short_p99 = Fct.packet_tier_percentile fct 99.;
+        })
+      hybrid
   in
   {
     scenario = scenario.Scenario.name;
@@ -695,13 +631,14 @@ let rec run ?(profile = false) ?horizon ?(stats = `Exact) ?on_record
     faults_injected = Fault.count scenario.Scenario.faults;
     blackholed_pkts = counters.Counters.blackholed_pkts;
     ctrl_lost_msgs = counters.Counters.ctrl_lost;
-    link_downtime_s;
-    recovery_s;
+    link_downtime_s = (Fault.stats faults).Fault.downtime_s;
+    recovery_s = plane.recovery_s ();
     afct_baseline;
     afct_inflation = afct /. afct_baseline;
     attrib = attrib_agg;
     hybrid = hybrid_stats;
-    coflow = coflow_agg;
+    (* All-workers-finish group completion times; see {!Coflow.finish}. *)
+    coflow = Coflow.finish coflow_groups;
     peak_heap = prof.Engine.peak_heap;
     sched_profile = prof.Engine.sites;
     gc_minor_words = prof.Engine.minor_words;

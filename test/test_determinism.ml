@@ -161,8 +161,61 @@ let test_duplicates_shared () =
         (encode a = encode b && encode b = encode c)
   | _ -> assert false
 
+(* The cache key identifies a distribution by its parameters, not by its
+   display name and mean: each pair below shares both and must not share a
+   key, at every site a distribution enters the scenario. *)
+let test_job_key_separates_distributions () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pase-test-cdf-%d" (Unix.getpid ()))
+  in
+  let cdf sub rows =
+    let d = Filename.concat dir sub in
+    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+    if not (Sys.file_exists d) then Unix.mkdir d 0o755;
+    let path = Filename.concat d "t.cdf" in
+    Out_channel.with_open_text path (fun oc -> output_string oc rows);
+    let r = Dist.of_cdf_file path in
+    Sys.remove path;
+    Unix.rmdir d;
+    match r with Ok dist -> dist | Error e -> Alcotest.fail e
+  in
+  let a = cdf "a" "1000 0.5\n3000 1\n" in
+  let b = cdf "b" "1500 1\n" in
+  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
+  let base = Scenario.left_right ~num_flows:20 ~seed:1 ~load:0.5 () in
+  let key sc = Parallel.job_key Runner.Dctcp sc in
+  List.iter
+    (fun (label, (d1 : Dist.t), (d2 : Dist.t)) ->
+      Alcotest.(check string) (label ^ ": same name") d1.Dist.name d2.Dist.name;
+      Alcotest.(check (float 0.)) (label ^ ": same mean") d1.Dist.mean
+        d2.Dist.mean;
+      let differ what f =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s keys differ" label what)
+          true
+          (key (f d1) <> key (f d2))
+      in
+      differ "size" (Scenario.with_sizes base);
+      differ "deadline" (fun d -> { base with Scenario.deadline_s = Some d });
+      differ "coflow width" (fun d -> Scenario.with_coflows base ~width:d ());
+      differ "coflow deadline" (fun d ->
+          Scenario.with_coflows base ~deadline_s:d ~width:(Dist.constant 2.) ());
+      differ "incast fan-in" (fun d ->
+          Scenario.worker_aggregator ~hosts:10 ~fanin:d ~num_flows:20 ~load:0.5
+            ()))
+    [
+      ("cdf tables", a, b);
+      ("choice", Dist.choice [ 1000.; 3000. ], Dist.choice [ 2000.; 2000. ]);
+      ( "uniform",
+        Dist.uniform 1e6 (2e6 +. 1.),
+        Dist.uniform (1e6 +. 1.) 2e6 );
+    ]
+
 let suite =
   [
+    Alcotest.test_case "job key separates distributions" `Quick
+      test_job_key_separates_distributions;
     Alcotest.test_case "serial rerun identical" `Quick test_serial_rerun_identical;
     Alcotest.test_case "parallel matches serial" `Slow test_parallel_matches_serial;
     Alcotest.test_case "chunked until matches one-shot" `Quick
