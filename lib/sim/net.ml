@@ -1,5 +1,14 @@
 type node_kind = Host | Switch
 
+(* Flow-id keyed handler table: ids are dense small ints, so the identity
+   hash spreads them and no polymorphic hashing or tuple key is involved. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 type t = {
   engine : Engine.t;
   counters : Counters.t;
@@ -8,9 +17,11 @@ type t = {
   adjacency : (int, (int * Link.t) list ref) Hashtbl.t;
       (* node -> outgoing (neighbour, link) *)
   directed : (int * int, Link.t) Hashtbl.t;
-  handlers : (int * int, Packet.t -> unit) Hashtbl.t;
-  mutable next_hops : int array array array;
-      (* next_hops.(node).(dst) = equal-cost next hops, [||] if unreachable *)
+      (* set-up lookups only ([link_from], [links], [finalize]) *)
+  mutable handlers : (Packet.t -> unit) Itbl.t array;  (* node -> flow -> f *)
+  mutable next_links : Link.t array array array;
+      (* next_links.(node).(dst) = equal-cost links toward dst, [||] if
+         unreachable; a node's destinations with equal sets share one array *)
   mutable finalized : bool;
 }
 
@@ -24,8 +35,8 @@ let create engine counters =
     n = 0;
     adjacency = Hashtbl.create 64;
     directed = Hashtbl.create 64;
-    handlers = Hashtbl.create 256;
-    next_hops = [||];
+    handlers = Array.make 16 (Itbl.create 1);
+    next_links = [||];
     finalized = false;
   }
 
@@ -35,11 +46,16 @@ let counters t = t.counters
 let add_node t kind =
   if t.finalized then invalid_arg "Net: cannot add nodes after finalize";
   if t.n = Array.length t.kinds then begin
-    let narr = Array.make (2 * t.n) Host in
-    Array.blit t.kinds 0 narr 0 t.n;
-    t.kinds <- narr
+    let grow a fill =
+      let b = Array.make (2 * t.n) fill in
+      Array.blit a 0 b 0 t.n;
+      b
+    in
+    t.kinds <- grow t.kinds Host;
+    t.handlers <- grow t.handlers t.handlers.(0)
   end;
   t.kinds.(t.n) <- kind;
+  t.handlers.(t.n) <- Itbl.create 16;
   let id = t.n in
   t.n <- t.n + 1;
   Hashtbl.replace t.adjacency id (ref []);
@@ -58,27 +74,36 @@ let flow_hash flow =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.to_int (Int64.logxor z (Int64.shift_right_logical z 31)) land max_int
 
-let pick_next_hop t ~flow node dst =
-  let hops = t.next_hops.(node).(dst) in
-  let n = Array.length hops in
-  if n = 0 then None
-  else if n = 1 then Some hops.(0)
+(* Position of [flow]'s link among the [n] equal-cost links out of [node]. *)
+let ecmp_index ~flow node n =
+  if n = 1 then 0
   else
     (* Salt with the switch id: per-hop hashes must be independent or
        multi-stage fabrics use only a correlated subset of their paths. *)
-    Some hops.(flow_hash ((flow * 0x3779) lxor (node * 0x9e41)) mod n)
+    flow_hash ((flow * 0x3779) lxor (node * 0x9e41)) mod n
+
+let next_links t node dst = t.next_links.(node).(dst)
+
+let next_link t ~flow node dst =
+  let links = t.next_links.(node).(dst) in
+  let n = Array.length links in
+  if n = 0 then None else Some links.(ecmp_index ~flow node n)
+
+let stray t pkt node =
+  t.counters.Counters.stray_pkts <- t.counters.Counters.stray_pkts + 1;
+  if Trace.on () then Trace.emit (Trace.Stray { pkt; node })
 
 (* Forward declaration cycle: delivery needs routing which needs links. We
-   route inside [deliver] by consulting the table built at [finalize]. *)
+   route inside [deliver] by consulting the table built at [finalize]. A
+   hop allocates nothing: one array index picks the link and the handler
+   lookup is keyed by the bare flow id. *)
 let rec deliver t pkt node =
   if node = pkt.Packet.dst then begin
     t.counters.Counters.delivered_pkts <- t.counters.Counters.delivered_pkts + 1;
     if Trace.on () then Trace.emit (Trace.Rx { pkt; node });
-    (match Hashtbl.find_opt t.handlers (node, pkt.Packet.flow) with
-    | Some f -> f pkt
-    | None ->
-        t.counters.Counters.stray_pkts <- t.counters.Counters.stray_pkts + 1;
-        if Trace.on () then Trace.emit (Trace.Stray { pkt; node }));
+    (match Itbl.find t.handlers.(node) pkt.Packet.flow with
+    | f -> f pkt
+    | exception Not_found -> stray t pkt node);
     (* The packet is done: handlers read it synchronously and never retain
        it (see Packet.free). Recycling is off under tracing because sinks
        may keep references past delivery. *)
@@ -87,15 +112,13 @@ let rec deliver t pkt node =
   else forward t pkt node
 
 and forward t pkt node =
-  match pick_next_hop t ~flow:pkt.Packet.flow node pkt.Packet.dst with
-  | None ->
-      t.counters.Counters.stray_pkts <- t.counters.Counters.stray_pkts + 1;
-      if Trace.on () then Trace.emit (Trace.Stray { pkt; node })
-      else Packet.free pkt
-  | Some nh -> (
-      match Hashtbl.find_opt t.directed (node, nh) with
-      | Some link -> Link.send link pkt
-      | None -> assert false)
+  let links = t.next_links.(node).(pkt.Packet.dst) in
+  let n = Array.length links in
+  if n = 0 then begin
+    stray t pkt node;
+    if not (Trace.on ()) then Packet.free pkt
+  end
+  else Link.send links.(ecmp_index ~flow:pkt.Packet.flow node n) pkt
 
 let connect t a b ~rate_bps ~delay_s ~qdisc =
   if t.finalized then invalid_arg "Net: cannot connect after finalize";
@@ -115,39 +138,86 @@ let connect t a b ~rate_bps ~delay_s ~qdisc =
   mk a b;
   mk b a
 
+(* The node a link leads to: [connect] names both ends in its qdisc's trace
+   location. *)
+let to_node l = (Link.qdisc l).Queue_disc.loc.Trace.to_node
+
+(* The array in [interned] holding exactly the [c] links [links.(idx.(0))
+   .. links.(idx.(c - 1))] in order, or [[||]] if none does (a next-hop set
+   is never empty). *)
+let rec find_interned links idx c = function
+  | [] -> [||]
+  | a :: rest ->
+      let j = ref 0 in
+      if Array.length a = c then
+        while !j < c && a.(!j) == links.(idx.(!j)) do
+          incr j
+        done;
+      if !j = c then a else find_interned links idx c rest
+
 let finalize t =
   if t.finalized then invalid_arg "Net.finalize: already finalized";
   t.finalized <- true;
   let n = t.n in
-  t.next_hops <- Array.init n (fun _ -> Array.make n [||]);
-  (* BFS from each destination over the (symmetric) adjacency; record, for
-     every node, ALL neighbours on shortest paths toward dst (equal-cost
-     multipath). Neighbour lists are sorted for determinism. *)
-  let neighbours =
+  (* Neighbours sorted by id for determinism, each with the link to it. *)
+  let nbr_ids =
     Array.init n (fun i ->
         let adj = !(Hashtbl.find t.adjacency i) in
-        List.sort Int.compare (List.map fst adj))
+        Array.of_list (List.sort Int.compare (List.map fst adj)))
   in
+  let nbr_links =
+    Array.init n (fun i ->
+        Array.map (fun u -> Hashtbl.find t.directed (i, u)) nbr_ids.(i))
+  in
+  let max_deg = Array.fold_left (fun m a -> max m (Array.length a)) 0 nbr_ids in
+  t.next_links <- Array.init n (fun _ -> Array.make n [||]);
+  let interned = Array.make n [] in
+  let dist = Array.make n max_int in
+  let queue = Array.make n 0 in
+  let idx = Array.make max_deg 0 in
+  (* BFS from each destination over the (symmetric) adjacency; record, for
+     every node, ALL neighbours on shortest paths toward dst (equal-cost
+     multipath), in neighbour-id order. A node's equal sets are interned:
+     in a fat-tree every remote destination of an edge switch shares its
+     one uplink array. *)
   for dst = 0 to n - 1 do
-    let dist = Array.make n max_int in
+    Array.fill dist 0 n max_int;
     dist.(dst) <- 0;
-    let q = Queue.create () in
-    Queue.push dst q;
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      List.iter
-        (fun v ->
-          if dist.(v) = max_int then begin
-            dist.(v) <- dist.(u) + 1;
-            Queue.push v q
-          end)
-        neighbours.(u)
+    queue.(0) <- dst;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      let ids = nbr_ids.(u) in
+      for j = 0 to Array.length ids - 1 do
+        let v = ids.(j) in
+        if dist.(v) = max_int then begin
+          dist.(v) <- dist.(u) + 1;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done
     done;
     for v = 0 to n - 1 do
-      if v <> dst && dist.(v) < max_int then
-        t.next_hops.(v).(dst) <-
-          Array.of_list
-            (List.filter (fun u -> dist.(u) = dist.(v) - 1) neighbours.(v))
+      if v <> dst && dist.(v) < max_int then begin
+        let ids = nbr_ids.(v) and links = nbr_links.(v) in
+        let c = ref 0 in
+        for j = 0 to Array.length ids - 1 do
+          if dist.(ids.(j)) = dist.(v) - 1 then begin
+            idx.(!c) <- j;
+            incr c
+          end
+        done;
+        let c = !c in
+        let a = find_interned links idx c interned.(v) in
+        t.next_links.(v).(dst) <-
+          (if Array.length a > 0 then a
+           else begin
+             let a = Array.init c (fun j -> links.(idx.(j))) in
+             interned.(v) <- a :: interned.(v);
+             a
+           end)
+      end
     done
   done
 
@@ -155,16 +225,16 @@ let send t pkt =
   let src = pkt.Packet.src in
   if src = pkt.Packet.dst then deliver t pkt src else forward t pkt src
 
-let register_flow t ~host ~flow f = Hashtbl.replace t.handlers (host, flow) f
-let unregister_flow t ~host ~flow = Hashtbl.remove t.handlers (host, flow)
+let register_flow t ~host ~flow f = Itbl.replace t.handlers.(host) flow f
+let unregister_flow t ~host ~flow = Itbl.remove t.handlers.(host) flow
 
 let route t ?(flow = 0) ~src ~dst () =
   let rec go node acc =
     if node = dst then List.rev (node :: acc)
     else
-      match pick_next_hop t ~flow node dst with
+      match next_link t ~flow node dst with
       | None -> invalid_arg "Net.route: no path"
-      | Some nh -> go nh (node :: acc)
+      | Some l -> go (to_node l) (node :: acc)
   in
   go src []
 
@@ -180,9 +250,9 @@ let path_count t ~src ~dst =
       | None ->
           let c =
             Array.fold_left
-              (fun acc nh -> acc + count nh)
+              (fun acc l -> acc + count (to_node l))
               0
-              t.next_hops.(node).(dst)
+              t.next_links.(node).(dst)
           in
           Hashtbl.replace memo node c;
           c

@@ -44,6 +44,17 @@ val unregister_flow : t -> host:int -> flow:int -> unit
     shortest paths). *)
 val route : t -> ?flow:int -> src:int -> dst:int -> unit -> int list
 
+(** [next_links t node dst] is every equal-cost link out of [node] on a
+    shortest path toward [dst], in neighbour-id order ([[||]] if [dst] is
+    unreachable or is [node]). Destinations with equal sets share one
+    array. Valid after [finalize]. *)
+val next_links : t -> int -> int -> Link.t array
+
+(** [next_link t ~flow node dst] is the link [flow]'s packets leave [node]
+    on toward [dst] (its ECMP pick among {!next_links}), [None] if [dst] is
+    unreachable or is [node]. *)
+val next_link : t -> flow:int -> int -> int -> Link.t option
+
 (** Number of distinct shortest paths between two nodes. *)
 val path_count : t -> src:int -> dst:int -> int
 

@@ -16,7 +16,8 @@ type t = {
   conf : conf;
   mutable hooks : hooks;
   status : Seg_store.t;
-  inflight_times : (int, float * bool) Hashtbl.t;  (* seq -> sent_at, retx *)
+  mutable sent_at : Float.Array.t;  (* slot -> time of its latest send *)
+  mutable retx : Bytes.t;  (* slot -> '\001' if that send was a retransmission *)
   mutable cwnd : float;
   mutable ssthresh : float;
   mutable next_new : int;  (* next never-transmitted segment *)
@@ -86,6 +87,34 @@ let consecutive_timeouts t = t.consecutive_timeouts
 
 let window t = max 1 (int_of_float t.cwnd)
 
+(* Segment [s]'s latest send time and retransmission flag sit in slot
+   [s land (capacity - 1)] of [sent_at] and [retx], and are meaningful
+   exactly while [status] says [Inflight]: every transition out of
+   [Inflight] (ack, loss, go-back-N) retires them with it, so no separate
+   in-flight table is kept. In-flight segments lie in [cum_ack, next_new),
+   and the capacity, a power of two, always exceeds that span, so slots
+   never collide and memory follows the window, not the flow length. *)
+let slot t seq = seq land (Bytes.length t.retx - 1)
+
+let record_send t seq ~retx =
+  let cap = Bytes.length t.retx in
+  if seq - t.cum_ack >= cap then begin
+    let ncap = ref (2 * cap) in
+    while seq - t.cum_ack >= !ncap do
+      ncap := 2 * !ncap
+    done;
+    let sent_at = Float.Array.make !ncap 0. and flags = Bytes.make !ncap '\000' in
+    for s = t.cum_ack to t.next_new - 1 do
+      let i = s land (!ncap - 1) and j = slot t s in
+      Float.Array.set sent_at i (Float.Array.get t.sent_at j);
+      Bytes.set flags i (Bytes.get t.retx j)
+    done;
+    t.sent_at <- sent_at;
+    t.retx <- flags
+  end;
+  Float.Array.set t.sent_at (slot t seq) (Engine.now t.engine);
+  Bytes.set t.retx (slot t seq) (if retx then '\001' else '\000')
+
 let rto_value t =
   let base = Float.max (t.hooks.base_rto t) (t.srtt +. (4. *. t.rttvar)) in
   let backed = base *. (2. ** float_of_int t.backoff) in
@@ -153,32 +182,31 @@ and default_timeout_action t =
       t.inflight <- t.inflight - 1
     end
   done;
-  Hashtbl.reset t.inflight_times;
   t.in_recovery <- false;
   set_ssthresh t (t.cwnd /. 2.);
   set_cwnd t 1.;
   try_send t
 
 and next_to_send t =
-  (* Lost segments (retransmissions) take precedence over new data. *)
-  let rec scan s =
-    if s >= t.next_new then None
-    else if Seg_store.get t.status s = Seg_store.Lost then Some (s, true)
-    else scan (s + 1)
-  in
-  match scan t.cum_ack with
-  | Some _ as r -> r
-  | None ->
-      if t.next_new < t.flow.Flow.size_pkts then Some (t.next_new, false)
-      else None
+  (* Lost segments (retransmissions) take precedence over new data; -1 if
+     nothing is sendable. *)
+  let s = ref t.cum_ack in
+  while !s < t.next_new && Seg_store.get t.status !s <> Seg_store.Lost do
+    incr s
+  done;
+  if !s < t.next_new then !s
+  else if t.next_new < t.flow.Flow.size_pkts then t.next_new
+  else -1
 
-and send_segment t seq ~retx =
+and send_segment t seq =
+  (* [next_to_send] yields either a [Lost] segment or [next_new]. *)
+  let retx = Seg_store.get t.status seq = Seg_store.Lost in
   if not retx then t.next_new <- max t.next_new (seq + 1);
   Seg_store.set t.status seq Seg_store.Inflight;
   t.inflight <- t.inflight + 1;
   if Delay.on () then
     Delay.on_send ~flow:t.flow.Flow.id ~now:(Engine.now t.engine);
-  Hashtbl.replace t.inflight_times seq (Engine.now t.engine, retx);
+  record_send t seq ~retx;
   let pkt =
     Packet.make ~flow:t.flow.Flow.id ~src:t.flow.Flow.src ~dst:t.flow.Flow.dst
       ~kind:Packet.Data
@@ -196,10 +224,10 @@ and try_send t =
     | None ->
         let continue = ref true in
         while !continue do
-          if t.inflight < window t && t.hooks.allow_send t then
-            match next_to_send t with
-            | Some (seq, retx) -> send_segment t seq ~retx
-            | None -> continue := false
+          if t.inflight < window t && t.hooks.allow_send t then begin
+            let seq = next_to_send t in
+            if seq >= 0 then send_segment t seq else continue := false
+          end
           else continue := false
         done
     | Some rate -> if rate > 0. then schedule_pace t rate
@@ -215,15 +243,15 @@ and schedule_pace t _rate =
           (match t.hooks.pacing_rate t with
           | Some rate when rate > 0. ->
               if t.inflight < window t && t.hooks.allow_send t then begin
-                match next_to_send t with
-                | Some (seq, retx) ->
-                    send_segment t seq ~retx;
-                    t.next_pace_at <-
-                      Engine.now t.engine
-                      +. (float_of_int (8 * (t.conf.mss + Packet.header_bytes))
-                         /. rate);
-                    schedule_pace t rate
-                | None -> ()
+                let seq = next_to_send t in
+                if seq >= 0 then begin
+                  send_segment t seq;
+                  t.next_pace_at <-
+                    Engine.now t.engine
+                    +. (float_of_int (8 * (t.conf.mss + Packet.header_bytes))
+                       /. rate);
+                  schedule_pace t rate
+                end
               end
               else begin
                 (* Window-blocked: retry after the current pacing gap. *)
@@ -283,23 +311,24 @@ let mark_acked t seq newly =
   match Seg_store.get t.status seq with
   | Seg_store.Acked -> ()
   | prev ->
-      if prev = Seg_store.Inflight then t.inflight <- t.inflight - 1;
+      (* Karn's rule: only an ack of a segment still in flight on its
+         first transmission gives an RTT sample. *)
+      if prev = Seg_store.Inflight then begin
+        t.inflight <- t.inflight - 1;
+        if Bytes.get t.retx (slot t seq) = '\000' then
+          update_rtt t
+            (Engine.now t.engine -. Float.Array.get t.sent_at (slot t seq))
+      end;
       Seg_store.set t.status seq Seg_store.Acked;
       t.acked_count <- t.acked_count + 1;
       incr newly;
-      (match Hashtbl.find_opt t.inflight_times seq with
-      | Some (sent_at, retx) ->
-          if not retx then update_rtt t (Engine.now t.engine -. sent_at);
-          Hashtbl.remove t.inflight_times seq
-      | None -> ());
       (* A segment the receiver has cannot be "new" anymore. *)
       if seq >= t.next_new then t.next_new <- seq + 1
 
 let mark_lost t seq =
   if Seg_store.get t.status seq = Seg_store.Inflight then begin
     Seg_store.set t.status seq Seg_store.Lost;
-    t.inflight <- t.inflight - 1;
-    Hashtbl.remove t.inflight_times seq
+    t.inflight <- t.inflight - 1
   end
 
 let handle_ack_like t (pkt : Packet.t) =
@@ -388,7 +417,8 @@ let create net ~flow ~conf ?(hooks = default_hooks) ~on_complete () =
     conf;
     hooks;
     status = Seg_store.create ();
-    inflight_times = Hashtbl.create 64;
+    sent_at = Float.Array.make 16 0.;
+    retx = Bytes.make 16 '\000';
     cwnd = Float.min conf.max_cwnd (Float.max 1. conf.init_cwnd);
     ssthresh = conf.init_ssthresh;
     next_new = 0;

@@ -177,6 +177,38 @@ let test_end_to_end_delivery_tree () =
   Engine.run e;
   Alcotest.(check int) "all delivered across core" 10 !got
 
+(* Handlers are per host: a flow registered only at its source strays at
+   its destination, and one flow id registered at two hosts reaches each
+   host's own handler. *)
+let test_handlers_per_host () =
+  let e, c, topo = build_star () in
+  let net = topo.Topology.net in
+  let h = topo.Topology.hosts in
+  let send ~src ~dst seq =
+    Net.send net
+      (Packet.make ~flow:7 ~src ~dst ~kind:Packet.Data ~size:1500 ~seq
+         ~sent_at:0. ())
+  in
+  let at_src = ref [] and at_dst = ref [] in
+  Net.register_flow net ~host:h.(0) ~flow:7 (fun p -> at_src := p.Packet.seq :: !at_src);
+  send ~src:h.(0) ~dst:h.(1) 1;
+  Engine.run e;
+  Alcotest.(check int) "unregistered destination: one stray" 1
+    c.Counters.stray_pkts;
+  Alcotest.(check (list int)) "source handler untouched" [] !at_src;
+  Net.register_flow net ~host:h.(1) ~flow:7 (fun p -> at_dst := p.Packet.seq :: !at_dst);
+  send ~src:h.(0) ~dst:h.(1) 2;
+  send ~src:h.(1) ~dst:h.(0) 3;
+  Engine.run e;
+  Alcotest.(check (list int)) "destination handler" [ 2 ] !at_dst;
+  Alcotest.(check (list int)) "source handler" [ 3 ] !at_src;
+  Net.unregister_flow net ~host:h.(1) ~flow:7;
+  send ~src:h.(0) ~dst:h.(1) 4;
+  send ~src:h.(1) ~dst:h.(0) 5;
+  Engine.run e;
+  Alcotest.(check int) "unregistered host strays" 2 c.Counters.stray_pkts;
+  Alcotest.(check (list int)) "other host still registered" [ 5; 3 ] !at_src
+
 let suite =
   [
     Alcotest.test_case "link timing" `Quick test_link_timing;
@@ -184,6 +216,7 @@ let suite =
     Alcotest.test_case "link respects queue priority" `Quick test_link_respects_queue_priority;
     Alcotest.test_case "net route star" `Quick test_net_route_star;
     Alcotest.test_case "net delivery and handlers" `Quick test_net_delivery_and_handlers;
+    Alcotest.test_case "handlers per host" `Quick test_handlers_per_host;
     Alcotest.test_case "tree structure" `Quick test_tree_structure;
     Alcotest.test_case "tree routes" `Quick test_tree_routes;
     Alcotest.test_case "tor/agg accessors" `Quick test_tree_tor_agg_of;

@@ -19,6 +19,7 @@ let () =
       ("extensions", Test_extensions.suite);
       ("properties", Test_properties.suite);
       ("fat-tree", Test_fat_tree.suite);
+      ("forwarding", Test_forwarding.suite);
       ("telemetry", Test_telemetry.suite);
       ("trace", Test_trace.suite);
       ("attrib", Test_attrib.suite);

@@ -212,6 +212,93 @@ let prop_prio_strict =
       let order = drain [] in
       order = List.sort compare toses)
 
+(* Push-out drops the most recent arrival of the lowest non-empty band
+   below the arrival's: here band 2's newest, leaving band 3 untouched. *)
+let test_prio_pushout_drops_newest () =
+  let c = Counters.create () in
+  let q = Prio_queue.create c ~bands:4 ~limit_pkts:4 ~mark_threshold:50 in
+  List.iter
+    (fun (seq, tos) -> q.Queue_disc.enqueue (mk ~seq ~tos ()))
+    [ (0, 2); (1, 2); (2, 2); (3, 1) ];
+  q.Queue_disc.enqueue (mk ~seq:100 ~tos:0 ());
+  q.Queue_disc.enqueue (mk ~seq:101 ~tos:1 ());
+  let rec drain acc =
+    match q.Queue_disc.dequeue () with
+    | Some p -> drain (p.Packet.seq :: acc)
+    | None -> List.rev acc
+  in
+  Alcotest.(check (list int)) "newest band-2 packets dropped first"
+    [ 100; 3; 101; 0 ] (drain []);
+  Alcotest.(check int) "two drops" 2 c.Counters.dropped_pkts
+
+(* Pkt_ring against a list oracle (front first). Runs of pushes force
+   growth; pops between them move the head so later growth copies a
+   wrapped ring. *)
+type ring_op = Push | Pop | Pop_back
+
+let prop_ring_matches_list =
+  QCheck.Test.make ~count:200 ~name:"Pkt_ring matches a list deque"
+    QCheck.(list (pair (int_bound 2) (int_range 1 20)))
+    (fun script ->
+      let r = Pkt_ring.create () in
+      let model = ref [] in
+      let next = ref 0 in
+      let ok = ref true in
+      let same_head expect got =
+        match expect with
+        | p :: _ -> p == got
+        | [] -> false
+      in
+      List.iter
+        (fun (op, reps) ->
+          for _ = 1 to reps do
+            (match [| Push; Pop; Pop_back |].(op) with
+            | Push ->
+                let p = mk ~seq:!next () in
+                incr next;
+                Pkt_ring.push r p;
+                model := !model @ [ p ]
+            | Pop -> (
+                match Pkt_ring.pop r with
+                | p ->
+                    ok := !ok && same_head !model p;
+                    model := List.tl !model
+                | exception Invalid_argument _ -> ok := !ok && !model = [])
+            | Pop_back -> (
+                match Pkt_ring.pop_back r with
+                | p ->
+                    let rev = List.rev !model in
+                    ok := !ok && same_head rev p;
+                    model := List.rev (List.tl rev)
+                | exception Invalid_argument _ -> ok := !ok && !model = []));
+            ok :=
+              !ok
+              && Pkt_ring.length r = List.length !model
+              && Pkt_ring.retained r = Pkt_ring.length r
+          done)
+        script;
+      (* Drained, every slot is back to the sentinel. *)
+      while not (Pkt_ring.is_empty r) do
+        ignore (Pkt_ring.pop r)
+      done;
+      !ok && Pkt_ring.retained r = 0)
+
+let test_ring_releases_packets () =
+  let r = Pkt_ring.create () in
+  for i = 0 to 99 do
+    Pkt_ring.push r (mk ~seq:i ());
+    if i mod 3 = 0 then ignore (Pkt_ring.pop r)
+  done;
+  Alcotest.(check int) "live slots" (Pkt_ring.length r) (Pkt_ring.retained r);
+  Alcotest.(check int) "newest at the back" 99 (Pkt_ring.pop_back r).Packet.seq;
+  while not (Pkt_ring.is_empty r) do
+    ignore (Pkt_ring.pop r)
+  done;
+  Alcotest.(check int) "no packet retained" 0 (Pkt_ring.retained r);
+  Alcotest.check_raises "pop on empty"
+    (Invalid_argument "Pkt_ring.pop: empty") (fun () ->
+      ignore (Pkt_ring.pop r))
+
 let suite =
   [
     Alcotest.test_case "droptail FIFO" `Quick test_droptail_fifo;
@@ -222,6 +309,8 @@ let suite =
     Alcotest.test_case "prio strictness" `Quick test_prio_strictness;
     Alcotest.test_case "prio tos clamped" `Quick test_prio_tos_clamped;
     Alcotest.test_case "prio pushout" `Quick test_prio_pushout;
+    Alcotest.test_case "prio pushout drops the band's newest" `Quick
+      test_prio_pushout_drops_newest;
     Alcotest.test_case "prio full of high drops low" `Quick test_prio_full_of_high_drops_low;
     Alcotest.test_case "prio per-band marking" `Quick test_prio_per_band_marking;
     Alcotest.test_case "pfabric priority dequeue" `Quick test_pfabric_priority_dequeue;
@@ -232,4 +321,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_prio_conservation;
     QCheck_alcotest.to_alcotest prop_pfabric_conservation;
     QCheck_alcotest.to_alcotest prop_prio_strict;
+    QCheck_alcotest.to_alcotest prop_ring_matches_list;
+    Alcotest.test_case "ring releases packets" `Quick test_ring_releases_packets;
   ]

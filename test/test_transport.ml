@@ -268,6 +268,80 @@ let test_deterministic_fct () =
   in
   Alcotest.(check (float 0.)) "identical runs" (run ()) (run ())
 
+(* RTT sampling follows Karn's rule: only an ack for a segment whose one
+   transmission is still outstanding yields a sample. The sender here has
+   no receiver; the test hand-crafts every ack from the destination, so
+   which transmission an ack answers is fixed by construction. *)
+let karn_rig ~size_pkts ~conf =
+  let e, _, topo = rig () in
+  let net = topo.Topology.net in
+  let h = topo.Topology.hosts in
+  let flow = Flow.make ~id:1 ~src:h.(0) ~dst:h.(1) ~size_pkts ~start_time:0. () in
+  Net.register_flow net ~host:h.(1) ~flow:1 ignore;
+  let sender =
+    Sender_base.create net ~flow ~conf ~on_complete:(fun _ ~fct:_ -> ()) ()
+  in
+  let ack_at time ~ack ~sack =
+    Engine.schedule_at e ~time (fun () ->
+        Net.send net
+          (Packet.make ~flow:1 ~src:h.(1) ~dst:h.(0) ~kind:Packet.Ack
+             ~size:Packet.ack_bytes ~seq:0 ~ack ~sack ~sent_at:time ()))
+  in
+  Sender_base.start sender;
+  (e, sender, ack_at)
+
+let karn_conf =
+  {
+    Sender_base.default_conf with
+    Sender_base.init_cwnd = 5.;
+    init_rtt = 100e-6;
+    min_rto = 0.5;
+  }
+
+let test_karn_original_ack_samples () =
+  let e, sender, ack_at = karn_rig ~size_pkts:10 ~conf:karn_conf in
+  ack_at 1e-3 ~ack:1 ~sack:0;
+  Engine.run ~until:2e-3 e;
+  (* one sample of ~1 ms folded into the 100 us seed at gain 1/8 *)
+  let srtt = Sender_base.srtt sender in
+  Alcotest.(check bool)
+    (Printf.sprintf "srtt moved toward the sample (%.1f us)" (srtt *. 1e6))
+    true
+    (srtt > 200e-6 && srtt < 250e-6)
+
+let test_karn_fast_retransmit_not_sampled () =
+  let e, sender, ack_at = karn_rig ~size_pkts:10 ~conf:karn_conf in
+  (* three dupacks selectively acking 1..3: segment 0 is fast-retransmitted *)
+  ack_at 1e-3 ~ack:0 ~sack:1;
+  ack_at 1.001e-3 ~ack:0 ~sack:2;
+  ack_at 1.002e-3 ~ack:0 ~sack:3;
+  Engine.run ~until:1.5e-3 e;
+  let before = Sender_base.srtt sender in
+  Alcotest.(check bool) "originals sampled" true (before > karn_conf.init_rtt);
+  Alcotest.(check int) "segment 0 retransmitted, in flight" 0
+    (Sender_base.cum_ack sender);
+  ack_at 2e-3 ~ack:1 ~sack:0;
+  Engine.run ~until:3e-3 e;
+  Alcotest.(check int) "retransmission acked" 1 (Sender_base.cum_ack sender);
+  Alcotest.(check (float 0.)) "no sample from the retransmission" before
+    (Sender_base.srtt sender)
+
+let test_karn_late_ack_after_rto_not_sampled () =
+  let conf =
+    { karn_conf with Sender_base.init_cwnd = 2.; min_rto = 1e-3 }
+  in
+  let e, sender, ack_at = karn_rig ~size_pkts:4 ~conf in
+  (* segments 0 and 1 go out at t = 0 and are never acked before the RTO
+     at 1 ms; go-back-N marks both lost and resends only 0 (cwnd 1) *)
+  Engine.run ~until:1.2e-3 e;
+  Alcotest.(check int) "one timeout" 1 (Sender_base.consecutive_timeouts sender);
+  (* a late selective ack of segment 1's pre-timeout transmission *)
+  ack_at 1.5e-3 ~ack:0 ~sack:1;
+  Engine.run ~until:2e-3 e;
+  Alcotest.(check int) "segment 1 acked" 1 (Sender_base.acked_pkts sender);
+  Alcotest.(check (float 0.)) "no sample from a pre-timeout transmission"
+    conf.init_rtt (Sender_base.srtt sender)
+
 let suite =
   [
     Alcotest.test_case "seg store" `Quick test_seg_store;
@@ -282,4 +356,10 @@ let suite =
     Alcotest.test_case "pacing rate limits" `Quick test_pacing_rate_limits;
     Alcotest.test_case "allow_send gate" `Quick test_allow_send_gate;
     Alcotest.test_case "deterministic fct" `Quick test_deterministic_fct;
+    Alcotest.test_case "karn: original ack samples rtt" `Quick
+      test_karn_original_ack_samples;
+    Alcotest.test_case "karn: fast retransmit not sampled" `Quick
+      test_karn_fast_retransmit_not_sampled;
+    Alcotest.test_case "karn: late ack after rto not sampled" `Quick
+      test_karn_late_ack_after_rto_not_sampled;
   ]
