@@ -89,30 +89,17 @@ let on_ack t sender ~ecn ~newly_acked =
       (Ecn_cc.try_cut t.ecn sender
          ~multiplier:(1. -. (Ecn_cc.alpha t.ecn /. 2.)))
   else if newly_acked > 0 then begin
-    if t.cfg.Config.use_ref_rate && t.guided then begin
-      if is_top t.queue then Sender_base.set_cwnd sender (rref_pkts t)
-      else if is_bottom t t.queue then Sender_base.set_cwnd sender 1.
-      else begin
-        (* DCTCP increase laws: slow start below ssthresh, then additive.
-           This is how intermediate queues stay work-conserving — when the
-           band above drains, the flow ramps into the spare capacity. *)
-        let cwnd = Sender_base.cwnd sender in
-        if cwnd < Sender_base.ssthresh sender then
-          Sender_base.set_cwnd sender (cwnd +. float_of_int newly_acked)
-        else
-          Sender_base.set_cwnd sender
-            (cwnd +. (float_of_int newly_acked /. cwnd))
-      end
-    end
-    else begin
-      (* PASE-DCTCP, or arbitration unreachable: standard DCTCP increase. *)
-      let cwnd = Sender_base.cwnd sender in
-      if cwnd < Sender_base.ssthresh sender then
-        Sender_base.set_cwnd sender (cwnd +. float_of_int newly_acked)
-      else
-        Sender_base.set_cwnd sender
-          (cwnd +. (float_of_int newly_acked /. cwnd))
-    end
+    let follow_rref = t.cfg.Config.use_ref_rate && t.guided in
+    if follow_rref && is_top t.queue then
+      Sender_base.set_cwnd sender (rref_pkts t)
+    else if follow_rref && is_bottom t t.queue then
+      Sender_base.set_cwnd sender 1.
+    else
+      (* Intermediate queues run the DCTCP increase laws: this is how they
+         stay work-conserving — when the band above drains, the flow ramps
+         into the spare capacity. PASE-DCTCP, or arbitration unreachable:
+         the standard DCTCP increase everywhere. *)
+      Ecn_cc.increase sender ~weight:1. ~newly_acked
   end
 
 let demand t () =

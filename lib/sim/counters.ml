@@ -31,21 +31,6 @@ let create () =
     blackholed_pkts = 0;
   }
 
-let reset t =
-  t.enqueued_pkts <- 0;
-  t.enqueued_bytes <- 0;
-  t.dequeued_pkts <- 0;
-  t.dequeued_bytes <- 0;
-  t.dropped_pkts <- 0;
-  t.dropped_bytes <- 0;
-  t.dropped_data_pkts <- 0;
-  t.ecn_marked_pkts <- 0;
-  t.delivered_pkts <- 0;
-  t.ctrl_msgs <- 0;
-  t.ctrl_lost <- 0;
-  t.stray_pkts <- 0;
-  t.blackholed_pkts <- 0
-
 let loss_rate t =
   let attempts = t.dropped_pkts + t.enqueued_pkts in
   if attempts = 0 then 0.

@@ -20,7 +20,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 (** Fraction of enqueued data-plane packets that were dropped, in [0, 1]. *)
 val loss_rate : t -> float

@@ -227,10 +227,6 @@ let complete ~flow ~now ~fct =
       in
       Hashtbl.replace finished flow r
 
-let discard ~flow =
-  Hashtbl.remove live flow;
-  Hashtbl.remove finished flow
-
 let take ~flow =
   match Hashtbl.find_opt finished flow with
   | None -> None

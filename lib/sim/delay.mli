@@ -36,9 +36,6 @@ val enable : unit -> unit
 val disable : unit -> unit
 (** Turn attribution off and clear all per-flow state. *)
 
-val reset : unit -> unit
-(** Clear per-flow state without changing the on/off switch. *)
-
 val set_clock : (unit -> float) -> unit
 (** Install the sim-time source; [Net.create] points this at its engine. *)
 
@@ -68,9 +65,6 @@ val sync : flow:int -> inflight:int -> gated:bool -> now:float -> unit
 
 val complete : flow:int -> now:float -> fct:float -> unit
 (** Finalize the flow's record; fetch it with {!take}. *)
-
-val discard : flow:int -> unit
-(** Drop all state for a cancelled flow. *)
 
 val take : flow:int -> record option
 (** Remove and return the finalized record of a completed flow. *)

@@ -1,4 +1,4 @@
-let create_with_inspect counters ~bands ~limit_pkts ~mark_threshold =
+let create counters ~bands ~limit_pkts ~mark_threshold =
   if bands <= 0 then invalid_arg "Prio_queue.create: bands must be positive";
   let qs = Array.init bands (fun _ -> Pkt_ring.create ()) in
   let band_bytes = Array.make bands 0 in
@@ -74,19 +74,13 @@ let create_with_inspect counters ~bands ~limit_pkts ~mark_threshold =
   let band_occ () =
     Array.init bands (fun i -> (Pkt_ring.length qs.(i), band_bytes.(i)))
   in
-  let disc =
-    {
-      Queue_disc.enqueue;
-      dequeue;
-      pkts = (fun () -> !total);
-      bytes = (fun () -> !bytes);
-      bands = band_occ;
-      drops = (fun () -> !drops);
-      set_cap_frac;
-      loc;
-    }
-  in
-  (disc, fun i -> Pkt_ring.length qs.(i))
-
-let create counters ~bands ~limit_pkts ~mark_threshold =
-  fst (create_with_inspect counters ~bands ~limit_pkts ~mark_threshold)
+  {
+    Queue_disc.enqueue;
+    dequeue;
+    pkts = (fun () -> !total);
+    bytes = (fun () -> !bytes);
+    bands = band_occ;
+    drops = (fun () -> !drops);
+    set_cap_frac;
+    loc;
+  }

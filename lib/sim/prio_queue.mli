@@ -16,15 +16,3 @@ val create :
   limit_pkts:int ->
   mark_threshold:int ->
   Queue_disc.t
-
-(** [band_occupancy q i] — packets currently queued in band [i] of a queue
-    created by {!create}. Only valid on the most recently created instance
-    passed back via the returned closure record; exposed for tests through
-    {!create_with_inspect}. *)
-
-val create_with_inspect :
-  Counters.t ->
-  bands:int ->
-  limit_pkts:int ->
-  mark_threshold:int ->
-  Queue_disc.t * (int -> int)

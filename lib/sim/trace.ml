@@ -186,8 +186,6 @@ let link_of = function
 
 (* ---- serialization ------------------------------------------------------ *)
 
-(* JSON has no nan/inf; those become null. %.17g round-trips doubles, so a
-   rerun of the same simulation serializes to identical bytes. *)
 let json_float f =
   if Float.is_nan f || Float.abs f = Float.infinity then "null"
   else Printf.sprintf "%.17g" f

@@ -92,9 +92,14 @@ val flow_of : event -> int
 
 val link_of : event -> (int * int) option
 
+val json_float : float -> string
+(** The JSON rendering of a float shared by every JSON writer: [%.17g],
+    which round-trips doubles, so reruns serialize to identical bytes;
+    nan and ±inf, which JSON lacks, become [null]. *)
+
 val to_json : time:float -> event -> string
 (** One JSON object (no trailing newline): [{"t":<float>,"kind":"<name>",...}].
-    Floats are printed with [%.17g]; nan/inf become [null]. *)
+    Floats are rendered by {!json_float}. *)
 
 val to_text : time:float -> event -> string
 (** ns-2-style one-liner: packet events lead with the classic op character

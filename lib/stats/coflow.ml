@@ -65,13 +65,8 @@ let merge a b =
     deadline_total = a.deadline_total + b.deadline_total;
   }
 
-(* JSON with fixed key order and %.17g floats (nan -> null), matching the
+(* JSON with fixed key order and Trace.json_float floats, matching the
    conventions of Result_codec so the coflow object slots into codec v8. *)
-
-let json_float x =
-  if Float.is_nan x || x = Float.infinity || x = Float.neg_infinity then "null"
-  else Printf.sprintf "%.17g" x
-
 let to_json t =
   let n = coflows t in
   if n = 0 then {|{"coflows":0}|}
@@ -79,14 +74,14 @@ let to_json t =
     Printf.sprintf
       {|{"coflows":%d,"completed":%d,"censored":%d,"flows":%d,"cct_mean":%s,"cct_min":%s,"cct_max":%s,"cct_p50":%s,"cct_p90":%s,"cct_p99":%s,"deadline_met":%d,"deadline_total":%d,"deadline_met_frac":%s}|}
       n (completed t) t.censored t.flows
-      (json_float (Welford.mean t.cct))
-      (json_float (Welford.min t.cct))
-      (json_float (Welford.max t.cct))
-      (json_float (Tdigest.quantile t.digest 0.5))
-      (json_float (Tdigest.quantile t.digest 0.9))
-      (json_float (Tdigest.quantile t.digest 0.99))
+      (Trace.json_float (Welford.mean t.cct))
+      (Trace.json_float (Welford.min t.cct))
+      (Trace.json_float (Welford.max t.cct))
+      (Trace.json_float (Tdigest.quantile t.digest 0.5))
+      (Trace.json_float (Tdigest.quantile t.digest 0.9))
+      (Trace.json_float (Tdigest.quantile t.digest 0.99))
       t.deadline_met t.deadline_total
-      (json_float (deadline_met_frac t))
+      (Trace.json_float (deadline_met_frac t))
 
 (* One task group while its member records stream in. *)
 type group = {

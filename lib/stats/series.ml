@@ -101,9 +101,5 @@ let mean_peak st metric =
   | vs -> Some (Summary.mean vs, Summary.max vs)
 
 let sample_json { t; metric; v } =
-  let num x =
-    if Float.is_nan x || x = Float.infinity || x = Float.neg_infinity then
-      "null"
-    else Printf.sprintf "%.17g" x
-  in
-  Printf.sprintf {|{"t":%s,"metric":"%s","v":%s}|} (num t) metric (num v)
+  Printf.sprintf {|{"t":%s,"metric":"%s","v":%s}|} (Trace.json_float t) metric
+    (Trace.json_float v)

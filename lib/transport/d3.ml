@@ -50,120 +50,38 @@ module Router = struct
     end
 end
 
-type host = {
-  sender : Sender_base.t;
-  routers : Router.t list;
-  rtt : float;
-  nic_bps : float;
-  rate : float ref;
-  stopped : bool ref;
-  mutable tick_timer : Engine.timer option;  (* per-RTT refresh loop *)
-}
-
-let conf ?(init_rtt = 0.0003) () =
-  {
-    Sender_base.default_conf with
-    Sender_base.init_cwnd = 1000.;
-    max_cwnd = 1000.;
-    min_rto = 0.010;
-    init_rtt;
-    ecn_capable = false;
-  }
-
-let sender h = h.sender
-let current_rate h = !(h.rate)
-
-let mss_bits h = float_of_int (8 * (Sender_base.conf h.sender).Sender_base.mss)
-
-let counters h = Net.counters (Sender_base.net h.sender)
-
 (* The rate that finishes the flow exactly at its deadline. *)
 let desired_rate h =
-  match Flow.absolute_deadline (Sender_base.flow h.sender) with
+  let s = Rate_host.sender h in
+  match Flow.absolute_deadline (Sender_base.flow s) with
   | None -> 0.
   | Some abs_deadline ->
-      let now = Engine.now (Sender_base.engine h.sender) in
-      let left = abs_deadline -. now in
+      let left = abs_deadline -. Engine.now (Sender_base.engine s) in
       let remaining_bits =
-        float_of_int (Sender_base.remaining_pkts h.sender) *. mss_bits h
+        float_of_int (Sender_base.remaining_pkts s) *. Rate_host.mss_bits h
       in
-      if left <= 0. then h.nic_bps else Float.min h.nic_bps (remaining_bits /. left)
+      let nic_bps = Rate_host.nic_bps h in
+      if left <= 0. then nic_bps else Float.min nic_bps (remaining_bits /. left)
 
-let refresh h =
-  if (not !(h.stopped)) && not (Sender_base.completed h.sender) then begin
-    let flow = (Sender_base.flow h.sender).Flow.id in
-    let request = desired_rate h in
-    List.iter
-      (fun r ->
-        Router.update r ~flow ~request_bps:request;
-        let c = counters h in
-        c.Counters.ctrl_msgs <- c.Counters.ctrl_msgs + 2)
-      h.routers;
-    let alloc =
-      List.fold_left
-        (fun acc r -> Float.min acc (Router.allocation r ~flow))
-        h.nic_bps h.routers
-    in
-    (* Rate returns in the header one one-way delay later. *)
-    Engine.schedule ~label:"d3-apply"
-      (Sender_base.engine h.sender)
-      ~delay:(h.rtt /. 2.)
-      (fun () ->
-        if (not !(h.stopped)) && not (Sender_base.completed h.sender) then begin
-          h.rate := alloc;
-          if Trace.on () then
-            Trace.emit (Trace.Rate { flow; rate_bps = alloc });
-          Sender_base.try_send h.sender
-        end)
-  end
+let request h =
+  let flow = (Sender_base.flow (Rate_host.sender h)).Flow.id in
+  let request_bps = desired_rate h in
+  let routers = Rate_host.path h in
+  List.iter
+    (fun r ->
+      Router.update r ~flow ~request_bps;
+      Rate_host.count_ctrl h)
+    routers;
+  List.fold_left
+    (fun acc r -> Float.min acc (Router.allocation r ~flow))
+    (Rate_host.nic_bps h) routers
 
-(* The per-RTT refresh loop rides one reschedulable engine timer per flow
-   instead of allocating a closure every round. *)
-let rec tick h =
-  if (not !(h.stopped)) && not (Sender_base.completed h.sender) then begin
-    refresh h;
-    let tm =
-      match h.tick_timer with
-      | Some tm -> tm
-      | None ->
-          let tm =
-            Engine.timer ~label:"d3-tick"
-              (Sender_base.engine h.sender)
-              (fun () -> tick h)
-          in
-          h.tick_timer <- Some tm;
-          tm
-    in
-    Engine.timer_schedule (Sender_base.engine h.sender) tm ~delay:h.rtt
-  end
+(* Grants return in the header one one-way delay later, unpausing included. *)
+let policy =
+  Rate_host.policy ~tick_label:"d3-tick" ~apply_label:"d3-apply"
+    ~unpause_rtts:0.5 ~request
+    ~release:(fun routers ~flow ->
+      List.iter (fun r -> Router.remove r ~flow) routers)
 
-let create net ~flow ~routers ~rtt ?conf:(c = conf ()) ~on_complete () =
-  let stopped = ref false in
-  let rate = ref 0. in
-  let nic_bps =
-    match Net.route net ~flow:flow.Flow.id ~src:flow.Flow.src ~dst:flow.Flow.dst () with
-    | a :: b :: _ -> (
-        match Net.link_from net a b with
-        | Some l -> Link.rate_bps l
-        | None -> 1e9)
-    | _ -> 1e9
-  in
-  let hooks =
-    {
-      Sender_base.default_hooks with
-      Sender_base.pacing_rate = (fun _ -> Some !rate);
-    }
-  in
-  let engine = Net.engine net in
-  let on_complete sender ~fct =
-    stopped := true;
-    Engine.schedule engine ~delay:(rtt /. 2.) (fun () ->
-        List.iter (fun r -> Router.remove r ~flow:flow.Flow.id) routers);
-    on_complete sender ~fct
-  in
-  let sender = Sender_base.create net ~flow ~conf:c ~hooks ~on_complete () in
-  { sender; routers; rtt; nic_bps; rate; stopped; tick_timer = None }
-
-let start h =
-  Sender_base.start h.sender;
-  tick h
+let create net ~flow ~routers ~rtt ~on_complete =
+  Rate_host.create net ~flow ~rtt policy ~path:routers ~on_complete

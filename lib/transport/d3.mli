@@ -5,7 +5,8 @@
     finishes its flow exactly at its deadline ([remaining / time-left]);
     routers grant requests greedily in {e arrival order} (FCFS) and split
     the leftover capacity equally among all flows as fair share. Flows
-    without deadlines request nothing and live off the fair share.
+    without deadlines request nothing and live off the fair share. Senders
+    are {!Rate_host}s; a grant takes effect half an RTT after the request.
 
     The FCFS grant order is D3's published behaviour and its known weakness
     (priority inversion: an early-arriving far-deadline flow can starve a
@@ -34,19 +35,13 @@ module Router : sig
   val allocation : t -> flow:int -> float
 end
 
-type host
-
+(** [create net ~flow ~routers ~rtt ~on_complete] — a {!Rate_host} whose
+    per-RTT request asks every router in [routers] (the flow's forward
+    path) for its deadline rate. Start it with {!Rate_host.start}. *)
 val create :
   Net.t ->
   flow:Flow.t ->
   routers:Router.t list ->
   rtt:float ->
-  ?conf:Sender_base.conf ->
   on_complete:(Sender_base.t -> fct:float -> unit) ->
-  unit ->
-  host
-
-val start : host -> unit
-val sender : host -> Sender_base.t
-val current_rate : host -> float
-val conf : ?init_rtt:float -> unit -> Sender_base.conf
+  Router.t list Rate_host.t

@@ -35,6 +35,11 @@ val gain : float
     of data. *)
 val observe : state -> Sender_base.t -> ecn:bool -> weight:int -> unit
 
+(** [increase t ~weight ~newly_acked] is the DCTCP window increase for an
+    ack of [newly_acked] segments: slow start ([+newly_acked]) below
+    ssthresh, else additive increase ([+weight * newly_acked / cwnd]). *)
+val increase : Sender_base.t -> weight:float -> newly_acked:int -> unit
+
 (** [try_cut state t ~multiplier] applies [cwnd <- cwnd * multiplier] if no
     cut has happened in the current window of data yet. Returns whether the
     cut was applied. *)

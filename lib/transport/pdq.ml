@@ -70,136 +70,49 @@ module Arbiter = struct
     walk t.capacity_bps sorted
 end
 
-type host = {
-  sender : Sender_base.t;
+type path = {
   arbiters : Arbiter.t array;
-  last_grants : float array;  (* most recent grant per path link *)
-  rtt : float;
-  nic_bps : float;
-  rate : float ref;  (* currently applied rate *)
-  stopped : bool ref;
-  mutable tick_timer : Engine.timer option;  (* per-RTT refresh loop *)
+  last_grants : float array;
+      (* most recent grant per path link; infinity before the first *)
 }
 
-let conf ?(init_rtt = 0.0003) () =
-  {
-    Sender_base.default_conf with
-    Sender_base.init_cwnd = 1000.;
-    max_cwnd = 1000.;
-    min_rto = 0.010;
-    init_rtt;
-    ecn_capable = false;
-  }
-
-let sender h = h.sender
-let current_rate h = !(h.rate)
-
-let mss_bits h = float_of_int (8 * (Sender_base.conf h.sender).Sender_base.mss)
-
-let counters h = Net.counters (Sender_base.net h.sender)
-
 (* What this flow could use on link [j], namely the minimum of the other
-   links' last grants (its bottleneck elsewhere). *)
-let usable_elsewhere h j =
-  let m = ref h.nic_bps in
-  Array.iteri (fun k g -> if k <> j then m := Float.min !m g) h.last_grants;
+   links' last grants (its bottleneck elsewhere) and its line rate. *)
+let usable_elsewhere ~nic_bps p j =
+  let m = ref nic_bps in
+  Array.iteri (fun k g -> if k <> j then m := Float.min !m g) p.last_grants;
   !m
 
-let refresh h =
-  if (not !(h.stopped)) && not (Sender_base.completed h.sender) then begin
-    let flow = (Sender_base.flow h.sender).Flow.id in
-    let deadline = Flow.absolute_deadline (Sender_base.flow h.sender) in
-    let remaining = Sender_base.remaining_pkts h.sender in
-    Array.iteri
-      (fun j a ->
-        Arbiter.update a ~flow ~remaining_pkts:remaining ~nic_bps:h.nic_bps
-          ~usable_bps:(usable_elsewhere h j) ~deadline;
-        (* One rate-request header processed per link, one response. *)
-        let c = counters h in
-        c.Counters.ctrl_msgs <- c.Counters.ctrl_msgs + 2)
-      h.arbiters;
-    Array.iteri
-      (fun j a ->
-        h.last_grants.(j) <-
-          Arbiter.allocation a ~flow ~rtt:h.rtt ~mss_bits:(mss_bits h))
-      h.arbiters;
-    let alloc = Array.fold_left Float.min h.nic_bps h.last_grants in
-    (* A rate change rides back in the returning header: one one-way delay.
-       Unpausing costs a full extra RTT on top (explicit pause/unpause
-       signalling, the 1-2 RTT flow-switching overhead of §2.1). *)
-    let delay =
-      if !(h.rate) = 0. && alloc > 0. then 1.5 *. h.rtt else h.rtt /. 2.
-    in
-    Engine.schedule ~label:"pdq-apply"
-      (Sender_base.engine h.sender)
-      ~delay
-      (fun () ->
-        if (not !(h.stopped)) && not (Sender_base.completed h.sender) then begin
-          h.rate := alloc;
-          if Trace.on () then
-            Trace.emit (Trace.Rate { flow; rate_bps = alloc });
-          Sender_base.try_send h.sender
-        end)
-  end
+let request h =
+  let p = Rate_host.path h in
+  let s = Rate_host.sender h in
+  let flow = (Sender_base.flow s).Flow.id in
+  let deadline = Flow.absolute_deadline (Sender_base.flow s) in
+  let remaining = Sender_base.remaining_pkts s in
+  let nic_bps = Rate_host.nic_bps h in
+  Array.iteri
+    (fun j a ->
+      Arbiter.update a ~flow ~remaining_pkts:remaining ~nic_bps
+        ~usable_bps:(usable_elsewhere ~nic_bps p j) ~deadline;
+      Rate_host.count_ctrl h)
+    p.arbiters;
+  let rtt = Rate_host.rtt h and mss_bits = Rate_host.mss_bits h in
+  Array.iteri
+    (fun j a -> p.last_grants.(j) <- Arbiter.allocation a ~flow ~rtt ~mss_bits)
+    p.arbiters;
+  Array.fold_left Float.min nic_bps p.last_grants
 
-(* The per-RTT refresh loop rides one reschedulable engine timer per flow
-   instead of allocating a closure every round. *)
-let rec tick h =
-  if (not !(h.stopped)) && not (Sender_base.completed h.sender) then begin
-    refresh h;
-    let tm =
-      match h.tick_timer with
-      | Some tm -> tm
-      | None ->
-          let tm =
-            Engine.timer ~label:"pdq-tick"
-              (Sender_base.engine h.sender)
-              (fun () -> tick h)
-          in
-          h.tick_timer <- Some tm;
-          tm
-    in
-    Engine.timer_schedule (Sender_base.engine h.sender) tm ~delay:h.rtt
-  end
+(* Unpausing costs a full extra RTT on top of the one-way return (explicit
+   pause/unpause signalling). *)
+let policy =
+  Rate_host.policy ~tick_label:"pdq-tick" ~apply_label:"pdq-apply"
+    ~unpause_rtts:1.5 ~request
+    ~release:(fun p ~flow ->
+      Array.iter (fun a -> Arbiter.remove a ~flow) p.arbiters)
 
-let create net ~flow ~arbiters ~rtt ?conf:(c = conf ()) ~on_complete () =
-  let stopped = ref false in
-  let rate = ref 0. in
-  let nic_bps =
-    match Net.route net ~flow:flow.Flow.id ~src:flow.Flow.src ~dst:flow.Flow.dst () with
-    | a :: b :: _ -> (
-        match Net.link_from net a b with
-        | Some l -> Link.rate_bps l
-        | None -> 1e9)
-    | _ -> 1e9
-  in
-  let hooks =
-    {
-      Sender_base.default_hooks with
-      Sender_base.pacing_rate = (fun _ -> Some !rate);
-    }
-  in
-  let engine = Net.engine net in
+let create net ~flow ~arbiters ~rtt ~on_complete =
   let arbiters = Array.of_list arbiters in
-  let on_complete sender ~fct =
-    stopped := true;
-    (* Termination header propagates one-way before arbiters release. *)
-    Engine.schedule engine ~delay:(rtt /. 2.) (fun () ->
-        Array.iter (fun a -> Arbiter.remove a ~flow:flow.Flow.id) arbiters);
-    on_complete sender ~fct
+  let path =
+    { arbiters; last_grants = Array.make (Array.length arbiters) infinity }
   in
-  let sender = Sender_base.create net ~flow ~conf:c ~hooks ~on_complete () in
-  {
-    sender;
-    arbiters;
-    last_grants = Array.make (Array.length arbiters) nic_bps;
-    rtt;
-    nic_bps;
-    rate;
-    stopped;
-    tick_timer = None;
-  }
-
-let start h =
-  Sender_base.start h.sender;
-  tick h
+  Rate_host.create net ~flow ~rtt policy ~path ~on_complete

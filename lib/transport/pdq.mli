@@ -4,9 +4,10 @@
     Every directed link has an {!Arbiter} that keeps per-flow state (sorted
     by the scheduling criterion — remaining size, or deadline when present)
     and allocates the link capacity to the most critical flows; the rest are
-    paused (rate 0). Senders refresh their state at every RTT and apply the
-    allocated rate one RTT later, which reproduces PDQ's flow-switching
-    overhead (≈1–2 RTT per preemption, §2.1 of the paper).
+    paused (rate 0). Senders are {!Rate_host}s: they refresh their state
+    every RTT and apply a grant half an RTT later, or 1.5 RTT later when it
+    unpauses the flow, which reproduces PDQ's flow-switching overhead
+    (≈1–2 RTT per preemption, §2.1 of the paper).
 
     Early Start is modelled: a flow expected to drain within [es_rtts] RTTs
     does not count against the capacity offered to the next flow in line,
@@ -41,24 +42,20 @@ end
 (** RTTs of lookahead for Early Start. *)
 val es_rtts : float
 
-type host
+(** The arbiters on a flow's forward path, with the flow's last grant on
+    each. *)
+type path
 
-(** [create net ~flow ~arbiters ~rtt ...] — [arbiters] are the arbiters of
-    every link on the flow's forward path; [rtt] is the base RTT used for
-    the update period and rate-application delay. Control-plane messages
-    are counted in the net's {!Counters.t} ([ctrl_msgs]). *)
+(** [create net ~flow ~arbiters ~rtt ~on_complete] — a {!Rate_host} whose
+    per-RTT request refreshes the flow's entry at every arbiter in
+    [arbiters] (one per link of the forward path) and takes the smallest
+    grant. [rtt] is the base RTT used for the update period and
+    rate-application delay. Control-plane messages are counted in the
+    net's {!Counters.t} ([ctrl_msgs]). Start it with {!Rate_host.start}. *)
 val create :
   Net.t ->
   flow:Flow.t ->
   arbiters:Arbiter.t list ->
   rtt:float ->
-  ?conf:Sender_base.conf ->
   on_complete:(Sender_base.t -> fct:float -> unit) ->
-  unit ->
-  host
-
-val start : host -> unit
-val sender : host -> Sender_base.t
-val current_rate : host -> float
-
-val conf : ?init_rtt:float -> unit -> Sender_base.conf
+  path Rate_host.t

@@ -14,7 +14,7 @@ type t = {
   engine : Engine.t;
   flow : Flow.t;
   conf : conf;
-  mutable hooks : hooks;
+  hooks : hooks;
   status : Seg_store.t;
   mutable sent_at : Float.Array.t;  (* slot -> time of its latest send *)
   mutable retx : Bytes.t;  (* slot -> '\001' if that send was a retransmission *)
@@ -65,7 +65,6 @@ let net t = t.net
 let engine t = t.engine
 let flow t = t.flow
 let conf t = t.conf
-let set_hooks t h = t.hooks <- h
 let cwnd t = t.cwnd
 
 let set_cwnd t w =
@@ -288,12 +287,6 @@ let complete t =
       Trace.emit (Trace.Flow_finish { flow = t.flow.Flow.id; fct });
     t.on_complete t ~fct
   end
-
-let cancel t =
-  t.completed <- true;
-  cancel_timer t;
-  if Delay.on () then Delay.discard ~flow:t.flow.Flow.id;
-  Net.unregister_flow t.net ~host:t.flow.Flow.src ~flow:t.flow.Flow.id
 
 let update_rtt t sample =
   if t.srtt <= 0. then begin

@@ -57,9 +57,6 @@ val start : t -> unit
 (** Kick the send loop (call after changing cwnd, gates, or pacing rate). *)
 val try_send : t -> unit
 
-(** Abort the flow: cancel timers and unregister handlers. *)
-val cancel : t -> unit
-
 (** Send a header-only probe for the first unacked segment (stamped via
     [hooks.stamp]). At most one probe is outstanding at a time. *)
 val send_probe : t -> unit
@@ -74,7 +71,6 @@ val net : t -> Net.t
 val engine : t -> Engine.t
 val flow : t -> Flow.t
 val conf : t -> conf
-val set_hooks : t -> hooks -> unit
 val cwnd : t -> float
 val set_cwnd : t -> float -> unit
 val ssthresh : t -> float

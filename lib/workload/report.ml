@@ -196,9 +196,7 @@ let of_files ~result ?attrib ?series ?vs ?top () =
 
 (* ---- rendering helpers -------------------------------------------------- *)
 
-let json_float f =
-  if Float.is_nan f || Float.abs f = Float.infinity then "null"
-  else Printf.sprintf "%.17g" f
+let json_float = Trace.json_float
 
 let json_of_result_field run key =
   match Json.member key run with

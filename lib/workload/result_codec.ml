@@ -40,10 +40,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-(* JSON has no nan/inf; those become null. %.17g round-trips doubles. *)
-let json_float f =
-  if Float.is_nan f || Float.abs f = Float.infinity then "null"
-  else Printf.sprintf "%.17g" f
+let json_float = Trace.json_float
 
 let json_opt_float = function None -> "null" | Some f -> json_float f
 let json_opt_int = function None -> "null" | Some i -> string_of_int i

@@ -237,9 +237,8 @@ let row = function
           path_plane ~make:Pdq.Arbiter.create ~clear:Pdq.Arbiter.clear
             (fun net route ~flow ~task:_ ~init_rtt ~init_cwnd:_ ~on_complete ->
               let arbiters = route flow in
-              Pdq.start
-                (Pdq.create net ~flow ~arbiters ~rtt:init_rtt
-                   ~conf:(Pdq.conf ~init_rtt ()) ~on_complete ()));
+              Rate_host.start
+                (Pdq.create net ~flow ~arbiters ~rtt:init_rtt ~on_complete));
       }
   | D3 ->
       {
@@ -251,9 +250,8 @@ let row = function
           path_plane ~make:D3.Router.create ~clear:D3.Router.clear
             (fun net route ~flow ~task:_ ~init_rtt ~init_cwnd:_ ~on_complete ->
               let routers = route flow in
-              D3.start
-                (D3.create net ~flow ~routers ~rtt:init_rtt
-                   ~conf:(D3.conf ~init_rtt ()) ~on_complete ()));
+              Rate_host.start
+                (D3.create net ~flow ~routers ~rtt:init_rtt ~on_complete));
       }
   | Pase cfg ->
       {

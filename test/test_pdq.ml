@@ -104,9 +104,9 @@ let rig_with_arbiters () =
           Receiver.stop recv;
           result := Some fct
         in
-        Pdq.start
+        Rate_host.start
           (Pdq.create net ~flow ~arbiters:(arbiters_for src dst) ~rtt
-             ~conf:(Pdq.conf ~init_rtt:rtt ()) ~on_complete ()));
+             ~on_complete));
     result
   in
   (e, topo, launch)
@@ -149,6 +149,90 @@ let test_host_counts_ctrl_msgs () =
   Engine.run ~until:0.5 e;
   Alcotest.(check bool) "control messages counted" true (c.Counters.ctrl_msgs > 0)
 
+(* The per-protocol constants kept on the shared explicit-rate host, run
+   once per protocol on one flow in a single rack: the first grant lands
+   1.5 RTT after start under PDQ (unpausing) but half an RTT after start
+   under D3; every refresh costs two control messages per switch; and the
+   switches drop the flow's state after it completes. *)
+let launch_pdq net links flow ~rtt ~on_complete =
+  let arbs =
+    List.map (fun l -> Pdq.Arbiter.create ~capacity_bps:(Link.rate_bps l)) links
+  in
+  Rate_host.start (Pdq.create net ~flow ~arbiters:arbs ~rtt ~on_complete);
+  fun () -> List.map Pdq.Arbiter.flows arbs
+
+let launch_d3 net links flow ~rtt ~on_complete =
+  let routers =
+    List.map (fun l -> D3.Router.create ~capacity_bps:(Link.rate_bps l)) links
+  in
+  Rate_host.start (D3.create net ~flow ~routers ~rtt ~on_complete);
+  fun () -> List.map D3.Router.flows routers
+
+let rate_host_cases =
+  [
+    ("PDQ", "pdq-apply", 1.5, launch_pdq);
+    ("D3", "d3-apply", 0.5, launch_d3);
+  ]
+
+let test_host_constants () =
+  List.iter
+    (fun (name, apply_label, first_grant_rtts, launch) ->
+      Packet.reset_ids ();
+      let e = Engine.create () in
+      Engine.set_profiling e true;
+      let c = Counters.create () in
+      let topo =
+        Topology.single_rack e c ~hosts:2 ~rate_bps:1e9 ~link_delay_s:10e-6
+          ~qdisc:(fun ~rate_bps:_ -> Queue_disc.droptail c ~limit_pkts:50)
+      in
+      let net = topo.Topology.net in
+      let src = topo.Topology.hosts.(0) and dst = topo.Topology.hosts.(1) in
+      let rtt = Topology.base_rtt topo ~src ~dst ~data_bytes:1500 in
+      let rec links acc = function
+        | a :: (b :: _ as rest) ->
+            links (Option.get (Net.link_from net a b) :: acc) rest
+        | _ -> List.rev acc
+      in
+      let links = links [] (Net.route net ~src ~dst ()) in
+      let start = 0.001 in
+      let ring, sink = Trace.ring_sink ~capacity:1024 in
+      Trace.attach sink;
+      Trace.set_kind_filter (Some [ Trace.Kind.Rate ]);
+      Fun.protect ~finally:Trace.reset (fun () ->
+          let completed = ref false in
+          let switch_flows = ref (fun () -> []) in
+          Engine.schedule_at e ~time:start (fun () ->
+              let flow =
+                Flow.make ~id:1 ~src ~dst ~size_pkts:100 ~start_time:start ()
+              in
+              let recv = Receiver.create net ~flow () in
+              switch_flows :=
+                launch net links flow ~rtt ~on_complete:(fun _ ~fct:_ ->
+                    Receiver.stop recv;
+                    completed := true));
+          Engine.run ~until:0.5 e;
+          Alcotest.(check bool) (name ^ ": flow completed") true !completed;
+          (match Trace.ring_contents ring with
+          | (t, Trace.Rate _) :: _ ->
+              Alcotest.(check (float 1e-12))
+                (name ^ ": first grant delay")
+                (start +. (first_grant_rtts *. rtt))
+                t
+          | _ -> Alcotest.failf "%s: no Rate event" name);
+          let refreshes =
+            List.assoc apply_label (Engine.profile e).Engine.sites
+          in
+          Alcotest.(check bool) (name ^ ": refreshed") true (refreshes > 1);
+          Alcotest.(check int)
+            (name ^ ": 2 control messages per switch per refresh")
+            (2 * List.length links * refreshes)
+            c.Counters.ctrl_msgs;
+          Alcotest.(check (list int))
+            (name ^ ": switch state released")
+            (List.map (fun _ -> 0) links)
+            (!switch_flows ())))
+    rate_host_cases
+
 let suite =
   [
     Alcotest.test_case "single flow full rate" `Quick test_single_flow_full_rate;
@@ -161,4 +245,5 @@ let suite =
     Alcotest.test_case "host single flow" `Quick test_host_single_flow;
     Alcotest.test_case "host preemption" `Quick test_host_preemption;
     Alcotest.test_case "host counts ctrl msgs" `Quick test_host_counts_ctrl_msgs;
+    Alcotest.test_case "host constants (PDQ, D3)" `Quick test_host_constants;
   ]

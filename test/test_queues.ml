@@ -107,9 +107,8 @@ let test_prio_full_of_high_drops_low () =
 
 let test_prio_per_band_marking () =
   let c = Counters.create () in
-  let q, occupancy =
-    Prio_queue.create_with_inspect c ~bands:2 ~limit_pkts:100 ~mark_threshold:3
-  in
+  let q = Prio_queue.create c ~bands:2 ~limit_pkts:100 ~mark_threshold:3 in
+  let occupancy i = fst (q.Queue_disc.bands ()).(i) in
   (* Fill band 1 beyond K; band 0 packets must not be marked. *)
   for i = 0 to 5 do
     q.Queue_disc.enqueue (mk ~seq:i ~tos:1 ())
